@@ -3,9 +3,9 @@
 //! catalog runs on a single unsharded `Runtime` (the baseline) and on a
 //! `ShardedRuntime` at 1, 2, 4 and 8 shards with one stepping thread per
 //! shard.  Per-shard evaluation is pinned sequential so the sweep isolates
-//! the sharding/threading effect from the intra-query worker pool; the
-//! 1-shard row measures the pure routing/registry overhead against the
-//! baseline.
+//! the sharding/threading effect from the intra-query worker pool.  A
+//! sharded runtime is the same `Runtime` with a shard count, so the 1-shard
+//! row differs from the baseline only by its one stepping thread.
 
 use criterion::Criterion;
 use rtx::datalog::{Parallelism, ResidentDb};

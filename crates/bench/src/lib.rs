@@ -1,7 +1,9 @@
 //! # rtx-bench
 //!
-//! Criterion benchmark harness for the reproduction.  Each bench target
-//! regenerates one experiment of `EXPERIMENTS.md` / `DESIGN.md`:
+//! Criterion benchmark harness for the reproduction: one bench target per
+//! experiment on a library layer.  The end-to-end numbers (wire, fleet,
+//! scan and durable workloads) come from the `rtx-ledger` benchmark in
+//! `ledger/` instead; see `BENCHMARK.json`.
 //!
 //! * `fig_runs` — the Figure 1 (`short`) and Figure 2 (`friendly`) runs;
 //! * `thm31_log_validation` — log validation vs. log length and schema size;
@@ -19,6 +21,12 @@
 //!   against a 100k-product catalog vs. full re-evaluation;
 //! * `durability` — WAL append throughput per fsync policy (real files),
 //!   snapshot writes, and cold recovery vs. journal length;
+//! * `monitoring` — an 8-session fleet unmonitored, with an observing
+//!   `SessionMonitor`, and with its input-control gate enforcing;
+//! * `demand_footprint` — per-session probe cost vs. catalog size: full
+//!   evaluation, full-then-filtered, and the magic-set rewrite;
+//! * `sharding` — one session fleet on an unsharded runtime vs. 1, 2, 4 and
+//!   8 shards with one stepping thread per shard;
 //! * `bs_sat` — grounded Bernays–Schönfinkel satisfiability scaling.
 //!
 //! The library itself only hosts shared helpers.

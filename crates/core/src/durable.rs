@@ -1,38 +1,43 @@
-//! A durable runtime: the resident session service backed by crash-safe
-//! storage.
+//! Durability: a [`Runtime`] whose catalog is backed by crash-safe storage.
 //!
-//! [`Runtime`] alone serves sessions against an in-memory
-//! [`ResidentDb`]; a process restart loses the
-//! catalog.  [`DurableRuntime`] closes that gap by pairing the runtime with
-//! an [`rtx_store::DurableStore`]: every catalog mutation is write-ahead
-//! logged through the store's [`Vfs`] *before* it reaches
-//! the resident database, and [`Runtime::open_durable`] recovers the exact
-//! committed catalog after a crash — snapshot, WAL tail replay, torn-tail
-//! handling and all (see the `rtx-store` crate docs for the lifecycle).
+//! A plain [`Runtime`] serves sessions against an in-memory
+//! [`ResidentDb`](rtx_datalog::ResidentDb); a process restart loses the
+//! catalog.  A [`DurableRuntime`] pairs the runtime with **one**
+//! [`rtx_store::DurableStore`], whatever the runtime's shard count: every
+//! catalog mutation is write-ahead logged through the store's [`Vfs`]
+//! *before* it reaches the shared resident database, and
+//! [`Runtime::open_durable`] / [`ShardedRuntime::open_durable`] recover the
+//! exact committed catalog after a crash — snapshot, WAL tail replay,
+//! torn-tail handling and all (see the `rtx-store` crate docs for the
+//! lifecycle).  Recovery does not depend on the shard count: a store can be
+//! reopened with a different one.
 //!
-//! Ordering per mutation: WAL append (+ fsync per
-//! [`FsyncPolicy`]) → in-memory [`rtx_store::Store`] apply →
-//! journal suffix replayed into the shared `ResidentDb` via
-//! [`ResidentSync`], bumping exactly the touched relation's version stamp so
-//! open sessions reseed only what changed.  The [`ResidentSync`] cursor uses
-//! absolute journal offsets, so [`DurableRuntime::checkpoint`] (which
-//! truncates the journal) never desynchronizes it.
+//! Ordering per mutation: WAL append (+ fsync per [`FsyncPolicy`]) →
+//! in-memory [`rtx_store::Store`] apply → journal suffix replayed into the
+//! shared `ResidentDb` via [`ResidentSync`], bumping exactly the touched
+//! relation's version stamp so open sessions on every shard reseed only what
+//! changed.  The [`ResidentSync`] cursor uses absolute journal offsets, so
+//! [`DurableRuntime::checkpoint`] (which truncates the journal) never
+//! desynchronizes it.
 
-use crate::shard::{ShardedRuntime, ShardedSession};
-use crate::{CoreError, Runtime, Session, SpocusTransducer};
-use rtx_datalog::ResidentDb;
+use crate::{CoreError, Runtime, Session, ShardedRuntime, SpocusTransducer};
 use rtx_relational::Tuple;
-use rtx_store::{DurableStore, FsyncPolicy, RecoveryReport, ResidentSync, Vfs};
-use std::sync::{Arc, Mutex};
+use rtx_store::{DurableStore, FsyncPolicy, RecoveryReport, ResidentSync, StoreError, Vfs};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A [`Runtime`] whose catalog survives process crashes: mutations go
 /// through a write-ahead log and recovery rebuilds the resident database
 /// bit-identically.  See the [module docs](self).
 #[derive(Debug)]
 pub struct DurableRuntime {
-    runtime: Runtime,
+    sharded: ShardedRuntime,
     durable: Mutex<DurableState>,
 }
+
+/// [`DurableRuntime`] under the name callers of
+/// [`ShardedRuntime::open_durable`] use: durability does not depend on the
+/// shard count, so there is one type.
+pub type ShardedDurableRuntime = DurableRuntime;
 
 #[derive(Debug)]
 struct DurableState {
@@ -40,31 +45,34 @@ struct DurableState {
     sync: ResidentSync,
 }
 
-impl DurableState {
-    /// Replays the journal suffix of the last mutation into the shared
-    /// resident database.
-    fn flow(&mut self, db: &Arc<ResidentDb>) -> Result<(), CoreError> {
-        self.sync.sync(self.store.store(), db)?;
-        Ok(())
-    }
-}
-
 impl Runtime {
-    /// Opens (or recovers) a durable runtime on `vfs`: persisted state is
-    /// recovered by the [`DurableStore`], made resident once, and served to
-    /// sessions exactly like an in-memory [`Runtime`].
-    ///
-    /// The fsync `policy` may be overridden by the `RTX_FSYNC` environment
-    /// variable (see [`FsyncPolicy::from_env`]).
+    /// Opens (or recovers) a one-shard durable runtime on `vfs` — see
+    /// [`ShardedRuntime::open_durable`].
     pub fn open_durable(
         vfs: Arc<dyn Vfs>,
         policy: FsyncPolicy,
+    ) -> Result<(DurableRuntime, RecoveryReport), CoreError> {
+        ShardedRuntime::open_durable(vfs, policy, 1)
+    }
+}
+
+impl ShardedRuntime {
+    /// Opens (or recovers) a durable runtime on `vfs`: persisted state is
+    /// recovered by the [`DurableStore`], made resident **once**, and served
+    /// to sessions on `shards` shards exactly like an in-memory runtime.
+    /// The fsync `policy` may be overridden by the `RTX_FSYNC` environment
+    /// variable (see [`FsyncPolicy::from_env`]; a malformed value is a hard
+    /// error).
+    pub fn open_durable(
+        vfs: Arc<dyn Vfs>,
+        policy: FsyncPolicy,
+        shards: usize,
     ) -> Result<(DurableRuntime, RecoveryReport), CoreError> {
         let (store, report) = DurableStore::open(vfs, policy)?;
         let (resident, sync) = store.store().to_resident()?;
         Ok((
             DurableRuntime {
-                runtime: Runtime::shared(Arc::new(resident)),
+                sharded: ShardedRuntime::shared(Arc::new(resident), shards),
                 durable: Mutex::new(DurableState { store, sync }),
             },
             report,
@@ -75,16 +83,22 @@ impl Runtime {
 impl DurableRuntime {
     /// The session runtime serving the recovered catalog.
     pub fn runtime(&self) -> &Runtime {
-        &self.runtime
+        &self.sharded
     }
 
-    /// Opens a named session — delegates to [`Runtime::open_session`].
+    /// The same session runtime, under the type it was opened as.
+    pub fn sharded(&self) -> &ShardedRuntime {
+        &self.sharded
+    }
+
+    /// Opens a named session on its home shard — delegates to
+    /// [`Runtime::open_session`].
     pub fn open_session(
         &self,
         name: impl Into<String>,
         transducer: impl Into<Arc<SpocusTransducer>>,
     ) -> Result<Session, CoreError> {
-        self.runtime.open_session(name, transducer)
+        self.sharded.open_session(name, transducer)
     }
 
     /// Creates a catalog table durably, then makes it resident.
@@ -94,28 +108,20 @@ impl DurableRuntime {
         arity: usize,
         attributes: Option<Vec<String>>,
     ) -> Result<(), CoreError> {
-        let mut state = self.lock();
-        state.store.create_table(name, arity, attributes)?;
-        self.flow(&mut state)
+        self.mutate(|store| store.create_table(name, arity, attributes))
     }
 
     /// Inserts a catalog row durably, then makes it resident.  Open
-    /// sessions observe the change at their next step.  Returns `true` if
-    /// the row was new.
+    /// sessions on every shard observe the change at their next step.
+    /// Returns `true` if the row was new.
     pub fn insert(&self, table: &str, row: Tuple) -> Result<bool, CoreError> {
-        let mut state = self.lock();
-        let new = state.store.insert(table, row)?;
-        self.flow(&mut state)?;
-        Ok(new)
+        self.mutate(|store| store.insert(table, row))
     }
 
     /// Retracts a catalog row durably, then removes it from the resident
     /// database.  Returns `true` if the row was present.
     pub fn retract(&self, table: &str, row: &Tuple) -> Result<bool, CoreError> {
-        let mut state = self.lock();
-        let removed = state.store.retract(table, row)?;
-        self.flow(&mut state)?;
-        Ok(removed)
+        self.mutate(|store| store.retract(table, row))
     }
 
     /// Forces every acknowledged write to stable storage, regardless of the
@@ -138,116 +144,21 @@ impl DurableRuntime {
         self.lock().store.epoch()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, DurableState> {
+    fn lock(&self) -> MutexGuard<'_, DurableState> {
         self.durable.lock().expect("durable state poisoned")
     }
 
-    fn flow(&self, state: &mut DurableState) -> Result<(), CoreError> {
-        state.flow(self.runtime.database())
-    }
-}
-
-/// A [`ShardedRuntime`] whose catalog survives process crashes: **one**
-/// [`DurableStore`] write-ahead logs every catalog mutation and feeds every
-/// shard through the single shared `Arc<ResidentDb>` — shards never hold
-/// divergent catalog copies, and recovery rebuilds the fleet's database
-/// bit-identically regardless of the shard count it reopens with.
-#[derive(Debug)]
-pub struct ShardedDurableRuntime {
-    sharded: ShardedRuntime,
-    durable: Mutex<DurableState>,
-}
-
-impl ShardedRuntime {
-    /// Opens (or recovers) a sharded durable runtime on `vfs`: persisted
-    /// state is recovered by the [`DurableStore`], made resident **once**,
-    /// and served to sessions on `shards` shard runtimes.  The fsync
-    /// `policy` may be overridden by the `RTX_FSYNC` environment variable
-    /// (see [`FsyncPolicy::from_env`]; a malformed value is a hard error).
-    pub fn open_durable(
-        vfs: Arc<dyn Vfs>,
-        policy: FsyncPolicy,
-        shards: usize,
-    ) -> Result<(ShardedDurableRuntime, RecoveryReport), CoreError> {
-        let (store, report) = DurableStore::open(vfs, policy)?;
-        let (resident, sync) = store.store().to_resident()?;
-        Ok((
-            ShardedDurableRuntime {
-                sharded: ShardedRuntime::shared(Arc::new(resident), shards),
-                durable: Mutex::new(DurableState { store, sync }),
-            },
-            report,
-        ))
-    }
-}
-
-impl ShardedDurableRuntime {
-    /// The sharded session runtime serving the recovered catalog.
-    pub fn sharded(&self) -> &ShardedRuntime {
-        &self.sharded
-    }
-
-    /// Opens a named session on its home shard — delegates to
-    /// [`ShardedRuntime::open_session`].
-    pub fn open_session(
+    /// Applies one durable mutation, then replays its journal suffix into
+    /// the shared resident database.
+    fn mutate<T>(
         &self,
-        name: impl Into<String>,
-        transducer: impl Into<Arc<SpocusTransducer>>,
-    ) -> Result<ShardedSession, CoreError> {
-        self.sharded.open_session(name, transducer)
-    }
-
-    /// Creates a catalog table durably, then makes it resident for every
-    /// shard.
-    pub fn create_table(
-        &self,
-        name: impl Into<String>,
-        arity: usize,
-        attributes: Option<Vec<String>>,
-    ) -> Result<(), CoreError> {
+        op: impl FnOnce(&mut DurableStore) -> Result<T, StoreError>,
+    ) -> Result<T, CoreError> {
         let mut state = self.lock();
-        state.store.create_table(name, arity, attributes)?;
-        state.flow(self.sharded.database())
-    }
-
-    /// Inserts a catalog row durably, then makes it resident.  Open
-    /// sessions on every shard observe the change at their next step.
-    /// Returns `true` if the row was new.
-    pub fn insert(&self, table: &str, row: Tuple) -> Result<bool, CoreError> {
-        let mut state = self.lock();
-        let new = state.store.insert(table, row)?;
-        state.flow(self.sharded.database())?;
-        Ok(new)
-    }
-
-    /// Retracts a catalog row durably, then removes it from the resident
-    /// database shared by every shard.  Returns `true` if the row was
-    /// present.
-    pub fn retract(&self, table: &str, row: &Tuple) -> Result<bool, CoreError> {
-        let mut state = self.lock();
-        let removed = state.store.retract(table, row)?;
-        state.flow(self.sharded.database())?;
-        Ok(removed)
-    }
-
-    /// Forces every acknowledged write to stable storage, regardless of the
-    /// fsync policy.
-    pub fn sync(&self) -> Result<(), CoreError> {
-        Ok(self.lock().store.sync()?)
-    }
-
-    /// Checkpoints the backing store — see [`DurableRuntime::checkpoint`].
-    pub fn checkpoint(&self) -> Result<(), CoreError> {
-        Ok(self.lock().store.checkpoint()?)
-    }
-
-    /// The backing store's snapshot/WAL epoch (bumped per checkpoint).
-    pub fn epoch(&self) -> u64 {
-        self.lock().store.epoch()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, DurableState> {
-        self.durable.lock().expect("durable state poisoned")
+        let DurableState { store, sync } = &mut *state;
+        let out = op(store)?;
+        sync.sync(store.store(), self.sharded.database())?;
+        Ok(out)
     }
 }
 

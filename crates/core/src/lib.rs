@@ -28,23 +28,24 @@
 //!   predicates;
 //! * [`PropositionalTransducer`] — propositional Spocus transducers and the
 //!   enumeration of their generated output languages `Gen(T)`;
-//! * [`runtime`] — the resident-service shape of the same semantics: a
-//!   [`Runtime`] owning one shared version-stamped
-//!   [`ResidentDb`](rtx_datalog::ResidentDb) and serving many named
-//!   concurrent [`Session`]s, each a transducer run fed one input at a time
-//!   and evaluated incrementally against the cumulative-state deltas;
-//! * [`durable`] — the same service backed by crash-safe storage: a
+//! * [`runtime`] — the resident-service shape of the same semantics: **one**
+//!   session runtime, [`Runtime`], owning one shared version-stamped
+//!   [`ResidentDb`](rtx_datalog::ResidentDb), one session registry, one
+//!   configuration and one health record, and serving many named concurrent
+//!   [`Session`]s, each a transducer run fed one input at a time and
+//!   evaluated incrementally against the cumulative-state deltas;
+//! * [`shard`] — placement: every session sits on one of the runtime's
+//!   shards, a label that also divides the worker budget
+//!   ([`Parallelism::divided_among`](rtx_datalog::Parallelism::divided_among))
+//!   and never shows in any output.  A plain runtime has one shard;
+//!   [`ShardedRuntime`] builds one with `N` and derefs to it, and
+//!   [`ShardedSession`] is [`Session`];
+//! * [`durable`] — the same runtime backed by crash-safe storage: a
 //!   [`DurableRuntime`] write-ahead logs every catalog mutation through
-//!   `rtx-store`'s WAL + snapshot layer, and [`Runtime::open_durable`]
-//!   recovers the committed catalog after a crash;
-//! * [`shard`] — the scale-out shape: a [`ShardedRuntime`] routes sessions
-//!   by name hash across `N` shard runtimes that all read the **same**
-//!   `Arc<ResidentDb>` (route → shard-local step → snapshot refresh →
-//!   health aggregation), with a fleet-wide name registry, per-shard worker
-//!   budgets split from one total
-//!   ([`Parallelism::divided_among`](rtx_datalog::Parallelism::divided_among)),
-//!   and one durable store feeding every shard
-//!   ([`durable::ShardedDurableRuntime`]).
+//!   `rtx-store`'s WAL + snapshot layer into the one shared database, and
+//!   [`Runtime::open_durable`] / [`ShardedRuntime::open_durable`] recover
+//!   the committed catalog after a crash, at any shard count
+//!   ([`ShardedDurableRuntime`] is the same type).
 //!
 //! The prepare/resident lifecycle: a one-shot
 //! [`RelationalTransducer::run`] makes its database resident for the

@@ -30,6 +30,10 @@
 //! object with [`Session::run`], producing bit-identical results to a
 //! one-shot [`RelationalTransducer::run`](crate::RelationalTransducer::run)
 //! over the same inputs and catalog.
+//!
+//! Every session is placed on one of the runtime's shards
+//! ([`Runtime::shard_of`], [`Session::shard`]).  A plain runtime has one
+//! shard; see [`shard`](crate::shard) for what a shard is and is not.
 
 use crate::demand::{DemandPlan, SessionDemand};
 use crate::supervise::{MonitorPolicy, RuntimeHealth, SessionObserver, Violation};
@@ -39,15 +43,17 @@ use rtx_datalog::{
     StepEvaluator,
 };
 use rtx_relational::{Instance, InstanceSequence, RelationName};
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Locks a mutex, recovering from poisoning.  Every runtime lock guards
 /// simple ownership records (name sets, counters) that are valid after any
 /// partial update, so a panic in one session must not wedge
 /// [`Runtime::open_session`] — or session drop — for every sibling.
-pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -314,10 +320,10 @@ struct RuntimeConfig {
 /// overrides it — the setter is deliberate operator intent, which clears
 /// that variable's report.
 ///
-/// The demand default differs from [`DemandPolicy::from_env`]'s caller
-/// default: opening a session *with* a demand is already the opt-in, so the
-/// environment variable only serves as a kill switch (`RTX_DEMAND=full`) or
-/// an explicit confirmation (`RTX_DEMAND=demand`).
+/// The demand default differs from [`DemandPolicy::default`]: opening a
+/// session *with* a demand is already the opt-in, so the environment
+/// variable only serves as a kill switch (`RTX_DEMAND=full`) or an explicit
+/// confirmation (`RTX_DEMAND=demand`).
 fn resolve_env_config(
     monitor_raw: Option<&str>,
     demand_raw: Option<&str>,
@@ -340,21 +346,27 @@ fn resolve_env_config(
     (policy, demand, errors)
 }
 
-/// Aggregate supervision counters behind [`Runtime::health`].
+/// Supervision counters behind [`Runtime::health`].  The counts are
+/// atomics, so recording a violation or a rejection takes no lock shared by
+/// the other sessions.
 #[derive(Debug, Default)]
 struct HealthInner {
-    quarantined: BTreeSet<String>,
-    violations: u64,
-    rejections: u64,
+    quarantined: Mutex<BTreeSet<String>>,
+    violations: AtomicU64,
+    rejections: AtomicU64,
 }
 
 #[derive(Debug)]
 struct RuntimeInner {
     db: Arc<ResidentDb>,
-    sessions: Mutex<BTreeSet<String>>,
+    /// Number of shards sessions can be placed on (at least one).
+    shards: usize,
+    /// The per-shard evaluation budget: the total divided among the shards.
     parallelism: Parallelism,
+    /// The session registry: every open session name → its shard.
+    sessions: Mutex<BTreeMap<String, usize>>,
     config: Mutex<RuntimeConfig>,
-    health: Mutex<HealthInner>,
+    health: HealthInner,
     /// Malformed `RTX_*` overrides found at construction, keyed by variable
     /// name.  Non-empty ⇒ every `open_session*` is rejected until the
     /// corresponding explicit setter clears the entry.
@@ -362,8 +374,9 @@ struct RuntimeInner {
 }
 
 /// A resident transducer runtime: one shared [`ResidentDb`] serving many
-/// named concurrent [`Session`]s.  Cheaply clonable (`Arc` inside); clones
-/// share the database and the session registry.
+/// named concurrent [`Session`]s, each placed on one of the runtime's
+/// shards.  Cheaply clonable (`Arc` inside); clones share the database, the
+/// session registry, the configuration and the health record.
 #[derive(Debug, Clone)]
 pub struct Runtime {
     inner: Arc<RuntimeInner>,
@@ -380,8 +393,8 @@ impl Runtime {
         Runtime::shared_with(db, Parallelism::default())
     }
 
-    /// Creates a runtime over a shared resident database with an explicit
-    /// [`Parallelism`] policy: every session opened on this runtime
+    /// Creates a one-shard runtime over a shared resident database with an
+    /// explicit [`Parallelism`] policy: every session opened on this runtime
     /// evaluates its steps under it.  Parallel steps are bit-identical to
     /// sequential ones (the engine merges worker results in a fixed order),
     /// so the policy is purely a scheduling knob.
@@ -393,32 +406,52 @@ impl Runtime {
     /// corresponding explicit setter ([`Runtime::set_monitor_policy`] /
     /// [`Runtime::set_demand_policy`]) overrides it.
     pub fn shared_with(db: Arc<ResidentDb>, parallelism: Parallelism) -> Self {
-        let monitor = std::env::var("RTX_MONITOR").ok();
-        let demand = std::env::var("RTX_DEMAND").ok();
-        Runtime::shared_with_settings(db, parallelism, monitor.as_deref(), demand.as_deref())
+        Runtime::with_shards(db, 1, parallelism)
     }
 
-    /// [`Runtime::shared_with`] over explicit raw `RTX_MONITOR`/`RTX_DEMAND`
+    /// A runtime with `shards` shards (clamped to at least one), each
+    /// evaluating under its share of the `parallelism` budget — the
+    /// constructor behind [`ShardedRuntime`](crate::ShardedRuntime).
+    pub(crate) fn with_shards(
+        db: Arc<ResidentDb>,
+        shards: usize,
+        parallelism: Parallelism,
+    ) -> Self {
+        let monitor = std::env::var("RTX_MONITOR").ok();
+        let demand = std::env::var("RTX_DEMAND").ok();
+        Runtime::with_settings(
+            db,
+            shards,
+            parallelism,
+            monitor.as_deref(),
+            demand.as_deref(),
+        )
+    }
+
+    /// [`Runtime::with_shards`] over explicit raw `RTX_MONITOR`/`RTX_DEMAND`
     /// values instead of the process environment — the testable core of the
     /// strict env-override path.
-    pub(crate) fn shared_with_settings(
+    fn with_settings(
         db: Arc<ResidentDb>,
+        shards: usize,
         parallelism: Parallelism,
         monitor_raw: Option<&str>,
         demand_raw: Option<&str>,
     ) -> Self {
+        let shards = shards.max(1);
         let (policy, demand, env_errors) = resolve_env_config(monitor_raw, demand_raw);
         Runtime {
             inner: Arc::new(RuntimeInner {
                 db,
-                sessions: Mutex::new(BTreeSet::new()),
-                parallelism,
+                shards,
+                parallelism: parallelism.divided_among(shards),
+                sessions: Mutex::new(BTreeMap::new()),
                 config: Mutex::new(RuntimeConfig {
                     budget: EvalBudget::UNLIMITED,
                     policy,
                     demand,
                 }),
-                health: Mutex::new(HealthInner::default()),
+                health: HealthInner::default(),
                 env_errors: Mutex::new(env_errors),
             }),
         }
@@ -429,9 +462,30 @@ impl Runtime {
         &self.inner.db
     }
 
-    /// The [`Parallelism`] policy sessions of this runtime evaluate under.
+    /// The [`Parallelism`] policy sessions of this runtime evaluate under:
+    /// the budget the runtime was built with, divided among its shards
+    /// ([`Parallelism::divided_among`]), so sessions stepped concurrently on
+    /// every shard do not oversubscribe the machine.
     pub fn parallelism(&self) -> Parallelism {
         self.inner.parallelism
+    }
+
+    /// Number of shards sessions can be placed on (one unless built by
+    /// [`ShardedRuntime`](crate::ShardedRuntime)).
+    pub fn shard_count(&self) -> usize {
+        self.inner.shards
+    }
+
+    /// The deterministic home shard of a session name (FNV-1a over the name
+    /// bytes, mod the shard count) — stable across processes and platforms,
+    /// so a front-end routes the same name to the same shard everywhere.
+    pub fn shard_of(&self, name: &str) -> usize {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in name.as_bytes() {
+            hash ^= u64::from(*byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        (hash % self.inner.shards as u64) as usize
     }
 
     /// Sets the default per-step [`EvalBudget`] for sessions opened after
@@ -452,7 +506,8 @@ impl Runtime {
     /// Sets the default [`MonitorPolicy`] for sessions opened after this
     /// call (already-open sessions keep theirs; see
     /// [`Session::set_monitor_policy`]).  The initial default comes from the
-    /// `RTX_MONITOR` environment variable ([`MonitorPolicy::from_env`]);
+    /// `RTX_MONITOR` environment variable
+    /// ([`MonitorPolicy::from_env_setting`]);
     /// calling this setter also clears any malformed-`RTX_MONITOR` report
     /// blocking `open_session*` — an explicit policy is deliberate operator
     /// intent.
@@ -487,29 +542,43 @@ impl Runtime {
         lock_clean(&self.inner.config).demand
     }
 
-    /// A snapshot of the runtime's supervision state: live session count,
-    /// quarantined session names, and the aggregate violation/rejection
-    /// counters across all sessions (past and present).
+    /// A snapshot of the runtime's supervision state across every shard:
+    /// live session count, quarantined session names, and the aggregate
+    /// violation/rejection counters across all sessions (past and present).
     pub fn health(&self) -> RuntimeHealth {
-        let active_sessions = lock_clean(&self.inner.sessions).len();
-        let health = lock_clean(&self.inner.health);
+        let health = &self.inner.health;
         RuntimeHealth {
-            active_sessions,
-            quarantined_sessions: health.quarantined.iter().cloned().collect(),
-            violations: health.violations,
-            rejections: health.rejections,
+            active_sessions: self.session_count(),
+            quarantined_sessions: lock_clean(&health.quarantined).iter().cloned().collect(),
+            violations: health.violations.load(Ordering::Relaxed),
+            rejections: health.rejections.load(Ordering::Relaxed),
         }
     }
 
     /// Opens a named session running `transducer` against the shared
-    /// database.  Fails if the name is already in use or if the database is
-    /// missing one of the transducer's `db` relations.
+    /// database, on the name's home shard ([`Runtime::shard_of`]).  Fails if
+    /// the name is in use on any shard or if the database is missing one of
+    /// the transducer's `db` relations.
     pub fn open_session(
         &self,
         name: impl Into<String>,
         transducer: impl Into<Arc<SpocusTransducer>>,
     ) -> Result<Session, CoreError> {
-        self.open_session_inner(name.into(), transducer.into(), None)
+        let name = name.into();
+        self.open_session_inner(self.shard_of(&name), name, transducer.into(), None)
+    }
+
+    /// Opens a named session on an explicit shard — for placement policies
+    /// beyond name hashing (sticky routing, rebalancing, tests).  Fails like
+    /// [`Runtime::open_session`], and with a [`CoreError::Runtime`] when
+    /// `shard` is out of range.
+    pub fn open_session_on(
+        &self,
+        shard: usize,
+        name: impl Into<String>,
+        transducer: impl Into<Arc<SpocusTransducer>>,
+    ) -> Result<Session, CoreError> {
+        self.open_session_inner(shard, name.into(), transducer.into(), None)
     }
 
     /// Opens a named session that only ever reads the demanded footprint of
@@ -531,15 +600,37 @@ impl Runtime {
         transducer: impl Into<Arc<SpocusTransducer>>,
         demand: SessionDemand,
     ) -> Result<Session, CoreError> {
-        self.open_session_inner(name.into(), transducer.into(), Some(demand))
+        let name = name.into();
+        self.open_session_inner(self.shard_of(&name), name, transducer.into(), Some(demand))
+    }
+
+    /// Opens a demand-driven session
+    /// ([`Runtime::open_session_with_demand`]) on an explicit shard.
+    pub fn open_session_with_demand_on(
+        &self,
+        shard: usize,
+        name: impl Into<String>,
+        transducer: impl Into<Arc<SpocusTransducer>>,
+        demand: SessionDemand,
+    ) -> Result<Session, CoreError> {
+        self.open_session_inner(shard, name.into(), transducer.into(), Some(demand))
     }
 
     fn open_session_inner(
         &self,
+        shard: usize,
         name: String,
         transducer: Arc<SpocusTransducer>,
         demand: Option<SessionDemand>,
     ) -> Result<Session, CoreError> {
+        if shard >= self.inner.shards {
+            return Err(CoreError::Runtime {
+                detail: format!(
+                    "shard {shard} out of range: this runtime has {} shards",
+                    self.inner.shards
+                ),
+            });
+        }
         // A malformed RTX_* override is a hard refusal, not a silent
         // default: a fleet must fail at session-open time, loudly naming
         // the variable, until the environment is fixed or an explicit
@@ -565,12 +656,14 @@ impl Runtime {
             });
         }
 
-        {
-            let mut sessions = lock_clean(&self.inner.sessions);
-            if !sessions.insert(name.clone()) {
+        match lock_clean(&self.inner.sessions).entry(name.clone()) {
+            Entry::Occupied(held) => {
                 return Err(CoreError::Runtime {
-                    detail: format!("session `{name}` is already open"),
+                    detail: format!("session `{name}` is already open on shard {}", held.get()),
                 });
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(shard);
             }
         }
 
@@ -597,6 +690,7 @@ impl Runtime {
         let schema = transducer.schema();
         Ok(Session {
             name,
+            shard,
             runtime: Arc::clone(&self.inner),
             inputs: InstanceSequence::empty(schema.input().clone()),
             outputs: InstanceSequence::empty(schema.output().clone()),
@@ -610,12 +704,12 @@ impl Runtime {
         })
     }
 
-    /// The names of the currently open sessions.
+    /// The names of the currently open sessions across every shard, sorted.
     pub fn session_names(&self) -> Vec<String> {
-        lock_clean(&self.inner.sessions).iter().cloned().collect()
+        lock_clean(&self.inner.sessions).keys().cloned().collect()
     }
 
-    /// Number of currently open sessions.
+    /// Number of currently open sessions across every shard.
     pub fn session_count(&self) -> usize {
         lock_clean(&self.inner.sessions).len()
     }
@@ -636,6 +730,7 @@ impl Runtime {
 #[derive(Debug)]
 pub struct Session {
     name: String,
+    shard: usize,
     runtime: Arc<RuntimeInner>,
     transducer: Arc<SpocusTransducer>,
     stepper: IncrementalStepper,
@@ -652,6 +747,11 @@ impl Session {
     /// The session name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The shard this session is placed on.
+    pub fn shard(&self) -> usize {
+        self.shard
     }
 
     /// The transducer this session runs.
@@ -745,9 +845,7 @@ impl Session {
     fn quarantine(&mut self, detail: String) -> CoreError {
         self.quarantined = true;
         lock_clean(&self.runtime.sessions).remove(&self.name);
-        lock_clean(&self.runtime.health)
-            .quarantined
-            .insert(self.name.clone());
+        lock_clean(&self.runtime.health.quarantined).insert(self.name.clone());
         CoreError::SessionQuarantined {
             session: self.name.clone(),
             detail,
@@ -760,7 +858,10 @@ impl Session {
         if violations.is_empty() {
             return;
         }
-        lock_clean(&self.runtime.health).violations += violations.len() as u64;
+        self.runtime
+            .health
+            .violations
+            .fetch_add(violations.len() as u64, Ordering::Relaxed);
         self.violations.extend_from_slice(violations);
     }
 
@@ -806,7 +907,10 @@ impl Session {
             self.record_violations(&violations);
             if self.policy == MonitorPolicy::Enforce {
                 if let Some(first) = violations.first() {
-                    lock_clean(&self.runtime.health).rejections += 1;
+                    self.runtime
+                        .health
+                        .rejections
+                        .fetch_add(1, Ordering::Relaxed);
                     return Err(CoreError::StepRejected {
                         step,
                         constraint: first.source.clone(),
@@ -1280,8 +1384,9 @@ mod tests {
         // malformed override and refuses to open sessions, naming the
         // variable.
         let db = Arc::new(ResidentDb::new(models::figure1_database()));
-        let runtime = Runtime::shared_with_settings(
+        let runtime = Runtime::with_settings(
             Arc::clone(&db),
+            1,
             Parallelism::default(),
             Some("enforec"),
             Some("ful"),
@@ -1313,8 +1418,9 @@ mod tests {
         let _ok = runtime.open_session("a", models::short()).unwrap();
 
         // Well-formed overrides configure the runtime without any refusal.
-        let runtime = Runtime::shared_with_settings(
+        let runtime = Runtime::with_settings(
             db,
+            1,
             Parallelism::default(),
             Some(" Enforce "),
             Some("full"),

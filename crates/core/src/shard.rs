@@ -1,98 +1,46 @@
-//! A sharded session runtime: many [`Runtime`] workers, one shared catalog.
+//! Sharding: where a session is placed, and nothing else.
 //!
-//! One [`Runtime`] already serves many concurrent [`Session`]s, but all of
-//! them contend on a single session registry and share one [`Parallelism`]
-//! budget.  A [`ShardedRuntime`] scales the same semantics out: `N` shard
-//! runtimes, each a plain [`Runtime`], all reading the **same**
-//! `Arc<ResidentDb>` — the catalog is resident once, its copy-on-write
-//! relations and version-stamped hash indexes shared read-mostly by every
-//! shard, while session state stays strictly shard-local.
+//! A shard is a **placement label** on a [`Session`] plus the **divisor** of
+//! its runtime's worker budget; it has no state of its own.  A
+//! [`ShardedRuntime`] is a [`Runtime`] built with a shard count.  It derefs
+//! to that runtime, so routing, opening, health and the policy setters are
+//! the runtime's own, and a [`ShardedSession`] is a plain [`Session`].
 //!
-//! # Lifecycle of a sharded step
+//! What a runtime shares across all of its shards:
 //!
-//! 1. **Route** — [`ShardedRuntime::open_session`] hashes the session name
-//!    ([`ShardedRuntime::shard_of`], deterministic FNV-1a) to pick a shard;
-//!    [`ShardedRuntime::open_session_on`] places explicitly.  A global name
-//!    registry spanning every shard keeps session names unique across the
-//!    whole fleet, not merely per shard.
-//! 2. **Shard-local step** — [`ShardedSession::step`] delegates to the
-//!    owning shard's [`Session::step`]: incremental evaluation, monitors,
-//!    demand plans, budgets and quarantine all behave exactly as on an
-//!    unsharded runtime.  Different shards never synchronize on the step
-//!    path.
-//! 3. **Snapshot refresh** — a catalog mutation
-//!    ([`ResidentDb::insert`]/[`ResidentDb::retract`] on the shared
-//!    database, or a durable mutation through
-//!    [`ShardedDurableRuntime`](crate::durable::ShardedDurableRuntime))
-//!    bumps the touched relation's version stamp once; every session on
-//!    every shard observes it at its next step by the same per-relation
-//!    staleness check an unsharded session uses.
-//! 4. **Health aggregation** — [`ShardedRuntime::health`] folds the
-//!    per-shard [`RuntimeHealth`] snapshots into one fleet view: summed
-//!    active/violation/rejection counters, merged quarantine lists.
+//! * the resident database — a catalog mutation
+//!   ([`ResidentDb::insert`]/[`ResidentDb::retract`], or a durable one
+//!   through [`DurableRuntime`](crate::DurableRuntime)) is seen by every
+//!   session at its next step, whatever its shard;
+//! * **one** session registry mapping each open name to its shard, so a name
+//!   is unique across the whole fleet and, once its session is dropped or
+//!   quarantined, reusable on any shard;
+//! * one configuration (step budget, monitor and demand policies) and one
+//!   health record.
 //!
-//! # Worker budgets
-//!
-//! Each shard evaluates under
-//! [`Parallelism::divided_among`](rtx_datalog::Parallelism::divided_among):
-//! the configured worker budget is split across shards (never below one
-//! worker each), so stepping `N` shards concurrently does not oversubscribe
-//! the machine `N`-fold.
-//!
-//! # Name release across shards
-//!
-//! Dropping a [`ShardedSession`] — or quarantining it mid-step — releases
-//! its name from the **global** registry as well as the shard's own, so the
-//! name is immediately reusable on *any* shard, not just the one that held
-//! it.
-//!
-//! The shard count comes from the `RTX_SHARDS` environment variable under
-//! the same strict contract as every other `RTX_*` knob
-//! ([`ShardedRuntime::from_env`]): unset means unsharded, a malformed value
-//! is a hard error.
+//! What the shard count changes: [`Runtime::shard_of`] routes a name to its
+//! home shard by FNV-1a hash ([`Runtime::open_session_on`] places
+//! explicitly), and every session evaluates under its shard's share of the
+//! total budget
+//! ([`Parallelism::divided_among`](rtx_datalog::Parallelism::divided_among)),
+//! so one stepping thread per shard — the `rtx-front` worker model — does
+//! not oversubscribe the machine.  Placement never shows in any output: a
+//! fleet on `N` shards is bit-identical, session by session, to the same
+//! fleet on one.
 
-use crate::demand::SessionDemand;
-use crate::runtime::lock_clean;
-use crate::supervise::{MonitorPolicy, RuntimeHealth, SessionObserver};
-use crate::{CoreError, Runtime, Session, SpocusTransducer};
-use rtx_datalog::{DemandPolicy, EvalBudget, Parallelism, ResidentDb};
-use rtx_relational::Instance;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::{Runtime, Session};
+use rtx_datalog::{Parallelism, ResidentDb};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// The accepted forms of `RTX_SHARDS`, for the strict-parse error message.
-pub const RTX_SHARDS_EXPECTED: &str = "a positive shard count";
-
-/// Strictly parses an `RTX_SHARDS` value through the shared
-/// [`env`](rtx_relational::env) contract: `Ok(None)` when unset or blank
-/// (the caller's default applies), a hard error when malformed — a typo'd
-/// shard count must not silently collapse the fleet to one shard.
-pub fn shards_setting(
-    raw: Option<&str>,
-) -> Result<Option<usize>, rtx_relational::env::EnvParseError> {
-    rtx_relational::env::parse_setting("RTX_SHARDS", raw, RTX_SHARDS_EXPECTED, |value| {
-        value.parse::<usize>().ok().filter(|&n| n > 0)
-    })
-}
-
-#[derive(Debug)]
-struct ShardedInner {
-    shards: Vec<Runtime>,
-    /// Fleet-wide name ownership: session name → owning shard.  The
-    /// per-shard registries only see their own names; this map is what makes
-    /// a name unique (and, after drop or quarantine, reusable) **across**
-    /// shards.
-    registry: Mutex<BTreeMap<String, usize>>,
-}
-
-/// A fleet of [`Runtime`] shards over one shared [`ResidentDb`].  Cheaply
-/// clonable (`Arc` inside); clones share the shards and the global name
-/// registry.  See the [module docs](self).
+/// A [`Runtime`] with more than one shard.  Cheaply clonable; clones share
+/// the runtime.  See the [module docs](self).
 #[derive(Debug, Clone)]
-pub struct ShardedRuntime {
-    inner: Arc<ShardedInner>,
-}
+pub struct ShardedRuntime(Runtime);
+
+/// A session of a [`ShardedRuntime`] — a plain [`Session`], whose
+/// [`Session::shard`] is its placement.
+pub type ShardedSession = Session;
 
 impl ShardedRuntime {
     /// Creates a sharded runtime owning a resident database.
@@ -106,294 +54,35 @@ impl ShardedRuntime {
         ShardedRuntime::shared_with(db, shards, Parallelism::default())
     }
 
-    /// Creates `shards` runtimes (clamped to at least one) over one shared
-    /// database.  `parallelism` is the **total** worker budget: each shard
-    /// evaluates under
+    /// Creates a runtime with `shards` shards (clamped to at least one) over
+    /// one shared database.  `parallelism` is the **total** worker budget:
+    /// sessions evaluate under
     /// [`parallelism.divided_among(shards)`](Parallelism::divided_among), so
     /// the fleet as a whole never oversubscribes the configured budget.
     pub fn shared_with(db: Arc<ResidentDb>, shards: usize, parallelism: Parallelism) -> Self {
-        let shards = shards.max(1);
-        let per_shard = parallelism.divided_among(shards);
-        let runtimes = (0..shards)
-            .map(|_| Runtime::shared_with(Arc::clone(&db), per_shard))
-            .collect();
-        ShardedRuntime {
-            inner: Arc::new(ShardedInner {
-                shards: runtimes,
-                registry: Mutex::new(BTreeMap::new()),
-            }),
-        }
-    }
-
-    /// Creates a sharded runtime with the shard count taken from the
-    /// `RTX_SHARDS` environment variable (default: one shard).  A malformed
-    /// value is a hard [`CoreError::Runtime`], consistent with every other
-    /// strict `RTX_*` knob.
-    pub fn from_env(db: Arc<ResidentDb>) -> Result<Self, CoreError> {
-        let raw = std::env::var("RTX_SHARDS").ok();
-        let shards = shards_setting(raw.as_deref())
-            .map_err(|e| CoreError::Runtime {
-                detail: e.to_string(),
-            })?
-            .unwrap_or(1);
-        Ok(ShardedRuntime::shared(db, shards))
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// The shard runtimes, in index order.
-    pub fn shards(&self) -> &[Runtime] {
-        &self.inner.shards
-    }
-
-    /// The shared resident database every shard reads.
-    pub fn database(&self) -> &Arc<ResidentDb> {
-        self.inner.shards[0].database()
-    }
-
-    /// The deterministic home shard of a session name (FNV-1a over the name
-    /// bytes, mod shard count) — stable across processes and platforms, so a
-    /// front-end fleet routes the same name to the same shard everywhere.
-    pub fn shard_of(&self, name: &str) -> usize {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in name.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (hash % self.inner.shards.len() as u64) as usize
-    }
-
-    /// Opens a named session on its home shard ([`ShardedRuntime::shard_of`]).
-    /// Fails if the name is in use on **any** shard.
-    pub fn open_session(
-        &self,
-        name: impl Into<String>,
-        transducer: impl Into<Arc<SpocusTransducer>>,
-    ) -> Result<ShardedSession, CoreError> {
-        let name = name.into();
-        let shard = self.shard_of(&name);
-        self.open_inner(shard, name, transducer.into(), None)
-    }
-
-    /// Opens a named session on an explicit shard — for placement policies
-    /// beyond name hashing (sticky routing, rebalancing, tests).
-    pub fn open_session_on(
-        &self,
-        shard: usize,
-        name: impl Into<String>,
-        transducer: impl Into<Arc<SpocusTransducer>>,
-    ) -> Result<ShardedSession, CoreError> {
-        self.open_inner(shard, name.into(), transducer.into(), None)
-    }
-
-    /// Opens a demand-driven session
-    /// ([`Runtime::open_session_with_demand`]) on its home shard.
-    pub fn open_session_with_demand(
-        &self,
-        name: impl Into<String>,
-        transducer: impl Into<Arc<SpocusTransducer>>,
-        demand: SessionDemand,
-    ) -> Result<ShardedSession, CoreError> {
-        let name = name.into();
-        let shard = self.shard_of(&name);
-        self.open_inner(shard, name, transducer.into(), Some(demand))
-    }
-
-    /// Opens a demand-driven session on an explicit shard.
-    pub fn open_session_with_demand_on(
-        &self,
-        shard: usize,
-        name: impl Into<String>,
-        transducer: impl Into<Arc<SpocusTransducer>>,
-        demand: SessionDemand,
-    ) -> Result<ShardedSession, CoreError> {
-        self.open_inner(shard, name.into(), transducer.into(), Some(demand))
-    }
-
-    fn open_inner(
-        &self,
-        shard: usize,
-        name: String,
-        transducer: Arc<SpocusTransducer>,
-        demand: Option<SessionDemand>,
-    ) -> Result<ShardedSession, CoreError> {
-        if shard >= self.inner.shards.len() {
-            return Err(CoreError::Runtime {
-                detail: format!(
-                    "shard {shard} out of range: this runtime has {} shards",
-                    self.inner.shards.len()
-                ),
-            });
-        }
-        {
-            let mut registry = lock_clean(&self.inner.registry);
-            if let Some(held_on) = registry.get(&name) {
-                return Err(CoreError::Runtime {
-                    detail: format!("session `{name}` is already open on shard {held_on}"),
-                });
-            }
-            registry.insert(name.clone(), shard);
-        }
-        let opened = match demand {
-            None => self.inner.shards[shard].open_session(name.clone(), transducer),
-            Some(spec) => {
-                self.inner.shards[shard].open_session_with_demand(name.clone(), transducer, spec)
-            }
-        };
-        match opened {
-            Ok(session) => Ok(ShardedSession {
-                session,
-                shard,
-                sharded: Arc::clone(&self.inner),
-                released: false,
-            }),
-            Err(e) => {
-                lock_clean(&self.inner.registry).remove(&name);
-                Err(e)
-            }
-        }
-    }
-
-    /// The names of the currently open sessions across every shard, sorted.
-    pub fn session_names(&self) -> Vec<String> {
-        lock_clean(&self.inner.registry).keys().cloned().collect()
-    }
-
-    /// Number of currently open sessions across every shard.
-    pub fn session_count(&self) -> usize {
-        lock_clean(&self.inner.registry).len()
-    }
-
-    /// A fleet-wide supervision snapshot: per-shard [`RuntimeHealth`]
-    /// aggregated — counters summed, quarantine lists merged in name order.
-    pub fn health(&self) -> RuntimeHealth {
-        let mut aggregate = RuntimeHealth::default();
-        let mut quarantined = BTreeSet::new();
-        for shard in &self.inner.shards {
-            let health = shard.health();
-            aggregate.active_sessions += health.active_sessions;
-            aggregate.violations += health.violations;
-            aggregate.rejections += health.rejections;
-            quarantined.extend(health.quarantined_sessions);
-        }
-        aggregate.quarantined_sessions = quarantined.into_iter().collect();
-        aggregate
-    }
-
-    /// Sets the default per-step [`EvalBudget`] on every shard
-    /// ([`Runtime::set_step_budget`]).
-    pub fn set_step_budget(&self, budget: EvalBudget) {
-        for shard in &self.inner.shards {
-            shard.set_step_budget(budget);
-        }
-    }
-
-    /// Sets the default [`MonitorPolicy`] on every shard
-    /// ([`Runtime::set_monitor_policy`]) — this also clears any
-    /// malformed-`RTX_MONITOR` report on each shard.
-    pub fn set_monitor_policy(&self, policy: MonitorPolicy) {
-        for shard in &self.inner.shards {
-            shard.set_monitor_policy(policy);
-        }
-    }
-
-    /// Sets the [`DemandPolicy`] on every shard
-    /// ([`Runtime::set_demand_policy`]) — this also clears any
-    /// malformed-`RTX_DEMAND` report on each shard.
-    pub fn set_demand_policy(&self, policy: DemandPolicy) {
-        for shard in &self.inner.shards {
-            shard.set_demand_policy(policy);
-        }
+        ShardedRuntime(Runtime::with_shards(db, shards, parallelism))
     }
 }
 
-/// A [`Session`] owned by one shard of a [`ShardedRuntime`], plus the global
-/// name registration.  Dereferences to [`Session`] for read-only accessors;
-/// stepping and the mutating configuration calls go through explicit
-/// forwarders so the wrapper can keep the fleet-wide registry in sync (a
-/// quarantined session releases its global name immediately, exactly as an
-/// unsharded session releases its runtime name).
-#[derive(Debug)]
-pub struct ShardedSession {
-    session: Session,
-    shard: usize,
-    sharded: Arc<ShardedInner>,
-    released: bool,
-}
+impl Deref for ShardedRuntime {
+    type Target = Runtime;
 
-impl ShardedSession {
-    /// The shard this session lives on.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Feeds one input instance — delegates to [`Session::step`].  If the
-    /// step quarantines the session, its name is released from the global
-    /// registry as well, so it is immediately reusable on any shard.
-    pub fn step(&mut self, input: &Instance) -> Result<Instance, CoreError> {
-        let result = self.session.step(input);
-        if self.session.is_quarantined() && !self.released {
-            self.release_name();
-        }
-        result
-    }
-
-    /// Changes the session's [`MonitorPolicy`] — see
-    /// [`Session::set_monitor_policy`].
-    pub fn set_monitor_policy(&mut self, policy: MonitorPolicy) {
-        self.session.set_monitor_policy(policy);
-    }
-
-    /// Attaches an online monitor — see [`Session::attach_observer`].
-    pub fn attach_observer(&mut self, observer: Box<dyn SessionObserver>) {
-        self.session.attach_observer(observer);
-    }
-
-    /// Detaches the attached monitor — see [`Session::detach_observer`].
-    pub fn detach_observer(&mut self) -> Option<Box<dyn SessionObserver>> {
-        self.session.detach_observer()
-    }
-
-    /// Replaces the session's per-step [`EvalBudget`] — see
-    /// [`Session::set_step_budget`].
-    pub fn set_step_budget(&mut self, budget: EvalBudget) {
-        self.session.set_step_budget(budget);
-    }
-
-    fn release_name(&mut self) {
-        self.released = true;
-        let mut registry = lock_clean(&self.sharded.registry);
-        if registry.get(self.session.name()) == Some(&self.shard) {
-            registry.remove(self.session.name());
-        }
-    }
-}
-
-impl Deref for ShardedSession {
-    type Target = Session;
-
-    fn deref(&self) -> &Session {
-        &self.session
-    }
-}
-
-impl Drop for ShardedSession {
-    fn drop(&mut self) {
-        if !self.released {
-            self.release_name();
-        }
+    fn deref(&self) -> &Runtime {
+        &self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demand::{SessionDemand, SessionGoal};
     use crate::models;
-    use crate::supervise::Violation;
-    use rtx_relational::{Tuple, Value};
+    use crate::supervise::{MonitorPolicy, SessionObserver, Violation, ViolationKind};
+    use crate::CoreError;
+    use rtx_datalog::{DemandPolicy, EvalBudget};
+    use rtx_relational::{Instance, Tuple, Value};
+    use std::collections::BTreeSet;
+    use std::sync::Barrier;
 
     fn input_step(orders: &[&str], pays: &[(&str, i64)]) -> Instance {
         let schema = models::short_input_schema();
@@ -456,7 +145,7 @@ mod tests {
         let transducer = Arc::new(models::short());
 
         // Open on an explicit shard that is NOT the name's home shard, then
-        // try the routed open: the global registry must still refuse.
+        // try the routed open: the registry must still refuse.
         let home = fleet.shard_of("alice");
         let elsewhere = (home + 1) % 4;
         let held = fleet
@@ -472,8 +161,8 @@ mod tests {
         );
         assert_eq!(fleet.session_count(), 1);
 
-        // The bug this pins: dropping the session on shard A must make the
-        // name reusable on shard B (and anywhere else), not just on A.
+        // Dropping the session on shard A must make the name reusable on
+        // shard B (and anywhere else), not just on A.
         drop(held);
         assert_eq!(fleet.session_count(), 0);
         let reopened = fleet
@@ -526,20 +215,22 @@ mod tests {
         assert!(matches!(err, CoreError::SessionQuarantined { .. }));
         assert!(bad.is_quarantined());
 
-        // The quarantined session released its global name immediately — a
+        // The quarantined session released its name immediately — a
         // replacement can open on a *different* shard while the quarantined
-        // wrapper is still alive for inspection.
+        // session is still alive for inspection.
         assert_eq!(fleet.session_count(), 0);
         let mut replacement = fleet
             .open_session_on(2, "customer", Arc::clone(&transducer))
             .unwrap();
+        assert_eq!(replacement.shard(), 2);
+        assert_eq!(bad.shard(), 0);
         assert_eq!(bad.len(), 1, "the completed step survives quarantine");
         assert_eq!(
             fleet.health().quarantined_sessions,
             vec!["customer".to_string()]
         );
 
-        // Dropping the quarantined wrapper must NOT evict the replacement.
+        // Dropping the quarantined session must NOT evict the replacement.
         drop(bad);
         assert_eq!(fleet.session_count(), 1);
         replacement.step(&step).unwrap();
@@ -552,41 +243,17 @@ mod tests {
         // N-fold.  Each shard must get its share of the *total* budget.
         let db = Arc::new(ResidentDb::new(models::figure1_database()));
         let fleet = ShardedRuntime::shared_with(Arc::clone(&db), 4, Parallelism::threads(8));
-        for shard in fleet.shards() {
-            assert_eq!(shard.parallelism().worker_count(), 2);
-        }
-        let total: usize = fleet
-            .shards()
-            .iter()
-            .map(|s| s.parallelism().worker_count())
-            .sum();
-        assert_eq!(total, 8);
+        assert_eq!(fleet.parallelism().worker_count(), 2);
+        assert_eq!(fleet.parallelism().worker_count() * fleet.shard_count(), 8);
 
         // More shards than workers: every shard keeps at least one worker.
         let fleet = ShardedRuntime::shared_with(Arc::clone(&db), 8, Parallelism::threads(3));
-        for shard in fleet.shards() {
-            assert_eq!(shard.parallelism().worker_count(), 1);
-        }
+        assert_eq!(fleet.parallelism().worker_count(), 1);
 
         // A zero shard count clamps to one unsharded runtime.
         let fleet = ShardedRuntime::shared_with(db, 0, Parallelism::threads(3));
         assert_eq!(fleet.shard_count(), 1);
-        assert_eq!(fleet.shards()[0].parallelism().worker_count(), 3);
-    }
-
-    #[test]
-    fn rtx_shards_setting_rejects_malformed_values_loudly() {
-        assert_eq!(shards_setting(None), Ok(None));
-        assert_eq!(shards_setting(Some("")), Ok(None));
-        assert_eq!(shards_setting(Some("  ")), Ok(None));
-        assert_eq!(shards_setting(Some("4")), Ok(Some(4)));
-        assert_eq!(shards_setting(Some(" 16 ")), Ok(Some(16)));
-        for bad in ["0", "-2", "two", "2.5", "4 shards"] {
-            let err = shards_setting(Some(bad)).unwrap_err();
-            assert_eq!(err.var, "RTX_SHARDS");
-            assert_eq!(err.value, bad);
-            assert!(err.to_string().contains("RTX_SHARDS"), "{err}");
-        }
+        assert_eq!(fleet.parallelism().worker_count(), 3);
     }
 
     #[test]
@@ -631,10 +298,147 @@ mod tests {
         fleet.set_monitor_policy(MonitorPolicy::Enforce);
         fleet.set_demand_policy(DemandPolicy::Full);
         fleet.set_step_budget(EvalBudget::max_derivations(7));
-        for shard in fleet.shards() {
-            assert_eq!(shard.monitor_policy(), MonitorPolicy::Enforce);
-            assert_eq!(shard.demand_policy(), DemandPolicy::Full);
-            assert_eq!(shard.step_budget(), EvalBudget::max_derivations(7));
+        assert_eq!(fleet.step_budget(), EvalBudget::max_derivations(7));
+        // One configuration serves every shard: sessions opened on each
+        // pick up the same defaults.
+        let demand = SessionDemand::new().goal(
+            SessionGoal::new("deliver", "b")
+                .unwrap()
+                .from_input("pay", [0]),
+        );
+        for shard in 0..fleet.shard_count() {
+            let session = fleet
+                .open_session_with_demand_on(
+                    shard,
+                    format!("s{shard}"),
+                    models::short(),
+                    demand.clone(),
+                )
+                .unwrap();
+            assert_eq!(session.shard(), shard);
+            assert_eq!(session.monitor_policy(), MonitorPolicy::Enforce);
+            assert_eq!(session.demand_policy(), Some(DemandPolicy::Full));
         }
+    }
+
+    #[test]
+    fn sessions_keep_their_placement_when_stepped_from_two_threads() {
+        let fleet = sharded(4);
+        let transducer = Arc::new(models::short());
+        let inputs = models::figure1_inputs();
+        let mut sessions: Vec<ShardedSession> = (0..8)
+            .map(|i| {
+                fleet
+                    .open_session_on(i % 4, format!("s{i}"), Arc::clone(&transducer))
+                    .unwrap()
+            })
+            .collect();
+
+        // Each thread owns one session on every shard; the barrier makes
+        // the two threads step at the same time.
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for half in sessions.chunks_mut(4) {
+                let (start, inputs) = (&start, &inputs);
+                scope.spawn(move || {
+                    start.wait();
+                    for input in inputs.iter() {
+                        for session in half.iter_mut() {
+                            session.step(input).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        for (i, session) in sessions.iter().enumerate() {
+            assert_eq!(session.shard(), i % 4, "session `{}`", session.name());
+            assert_eq!(session.len(), inputs.len());
+        }
+        assert_eq!(fleet.session_count(), 8);
+    }
+
+    /// Rejects any input ordering `contraband` and reports one log
+    /// violation per admitted step, so a session's health contribution is a
+    /// function of its inputs alone.
+    #[derive(Debug)]
+    struct Tally;
+
+    fn tally_violation(step: usize, kind: ViolationKind) -> Violation {
+        Violation {
+            step,
+            kind,
+            source: "tally".into(),
+            relation: None,
+            tuple: None,
+            detail: String::new(),
+        }
+    }
+
+    impl SessionObserver for Tally {
+        fn admit(&mut self, step: usize, input: &Instance) -> Result<Vec<Violation>, CoreError> {
+            let contraband = input.holds("order", &Tuple::from_iter(["contraband"]));
+            Ok(contraband
+                .then(|| tally_violation(step, ViolationKind::Constraint))
+                .into_iter()
+                .collect())
+        }
+
+        fn observe(
+            &mut self,
+            step: usize,
+            _input: &Instance,
+            _output: &Instance,
+        ) -> Result<Vec<Violation>, CoreError> {
+            Ok(vec![tally_violation(step, ViolationKind::Log)])
+        }
+    }
+
+    #[test]
+    fn health_counts_sum_exactly_across_shards_and_threads() {
+        let fleet = sharded(3);
+        fleet.set_monitor_policy(MonitorPolicy::Enforce);
+        let transducer = Arc::new(models::short());
+        let mut sessions: Vec<ShardedSession> = (0..6)
+            .map(|i| {
+                let mut session = fleet
+                    .open_session_on(i % 3, format!("s{i}"), Arc::clone(&transducer))
+                    .unwrap();
+                session.attach_observer(Box::new(Tally));
+                session
+            })
+            .collect();
+
+        // Session `i` sends `i + 1` clean inputs and `i` contraband ones:
+        // each clean step records one violation, each contraband one a
+        // violation and a rejection.
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (t, half) in sessions.chunks_mut(3).enumerate() {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for (j, session) in half.iter_mut().enumerate() {
+                        let i = 3 * t + j;
+                        for _ in 0..=i {
+                            session.step(&input_step(&["time"], &[])).unwrap();
+                        }
+                        for _ in 0..i {
+                            let err = session.step(&input_step(&["contraband"], &[]));
+                            assert!(matches!(err, Err(CoreError::StepRejected { .. })));
+                        }
+                    }
+                });
+            }
+        });
+
+        let health = fleet.health();
+        let recorded: usize = sessions.iter().map(|s| s.violations().len()).sum();
+        let expected_violations: u64 = (0..6).map(|i| 2 * i + 1).sum();
+        let expected_rejections: u64 = (0..6).sum();
+        assert_eq!(recorded as u64, expected_violations);
+        assert_eq!(health.violations, expected_violations);
+        assert_eq!(health.rejections, expected_rejections);
+        assert_eq!(health.active_sessions, 6);
+        assert!(health.quarantined_sessions.is_empty());
     }
 }

@@ -32,9 +32,9 @@ use std::fmt;
 /// How a [`Session`](crate::Session) treats its attached monitor.
 ///
 /// The process-wide default comes from the `RTX_MONITOR` environment
-/// variable ([`MonitorPolicy::from_env`] — strict: a malformed value is a
-/// hard error, never a silent fallback to [`MonitorPolicy::Off`]); a runtime
-/// or session can override it programmatically.
+/// variable ([`MonitorPolicy::from_env_setting`] — strict: a malformed value
+/// is a hard error, never a silent fallback to [`MonitorPolicy::Off`]); a
+/// runtime or session can override it programmatically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MonitorPolicy {
     /// No monitoring: attached observers are not consulted.
@@ -56,13 +56,10 @@ impl MonitorPolicy {
     /// message.
     pub const ENV_EXPECTED: &'static str = "`off`, `observe` or `enforce`";
 
-    /// Parses an `RTX_MONITOR` value (`off` / `observe` / `enforce`,
-    /// whitespace-trimmed, ASCII case-insensitive).  `None` (unset, empty or
-    /// garbage) falls through to the caller's default — prefer
-    /// [`MonitorPolicy::from_env_setting`], which distinguishes "unset" from
-    /// "malformed" instead of conflating them.
-    pub fn parse(value: Option<&str>) -> Option<MonitorPolicy> {
-        match value?.trim().to_ascii_lowercase().as_str() {
+    /// Parses one (pre-trimmed, non-empty) `RTX_MONITOR` token: `off`,
+    /// `observe` or `enforce`, ASCII case-insensitive.
+    fn parse_token(value: &str) -> Option<MonitorPolicy> {
+        match value.to_ascii_lowercase().as_str() {
             "off" => Some(MonitorPolicy::Off),
             "observe" => Some(MonitorPolicy::Observe),
             "enforce" => Some(MonitorPolicy::Enforce),
@@ -78,16 +75,12 @@ impl MonitorPolicy {
     pub fn from_env_setting(
         raw: Option<&str>,
     ) -> Result<Option<MonitorPolicy>, rtx_relational::env::EnvParseError> {
-        rtx_relational::env::parse_setting("RTX_MONITOR", raw, Self::ENV_EXPECTED, |value| {
-            MonitorPolicy::parse(Some(value))
-        })
-    }
-
-    /// Reads and strictly parses the `RTX_MONITOR` environment variable.
-    /// `Ok(None)` when unset: the caller's programmatic default applies.
-    pub fn from_env() -> Result<Option<MonitorPolicy>, rtx_relational::env::EnvParseError> {
-        let raw = std::env::var("RTX_MONITOR").ok();
-        MonitorPolicy::from_env_setting(raw.as_deref())
+        rtx_relational::env::parse_setting(
+            "RTX_MONITOR",
+            raw,
+            Self::ENV_EXPECTED,
+            Self::parse_token,
+        )
     }
 
     /// True unless the policy is [`MonitorPolicy::Off`].
@@ -221,28 +214,27 @@ mod tests {
 
     #[test]
     fn parse_is_strict() {
-        assert_eq!(MonitorPolicy::parse(Some("off")), Some(MonitorPolicy::Off));
+        assert_eq!(MonitorPolicy::parse_token("off"), Some(MonitorPolicy::Off));
         assert_eq!(
-            MonitorPolicy::parse(Some("observe")),
+            MonitorPolicy::parse_token("observe"),
             Some(MonitorPolicy::Observe)
         );
         assert_eq!(
-            MonitorPolicy::parse(Some("enforce")),
+            MonitorPolicy::parse_token("enforce"),
             Some(MonitorPolicy::Enforce)
         );
         assert_eq!(
-            MonitorPolicy::parse(Some(" Enforce ")),
+            MonitorPolicy::parse_token("Enforce"),
             Some(MonitorPolicy::Enforce)
         );
         assert_eq!(
-            MonitorPolicy::parse(Some("OBSERVE")),
+            MonitorPolicy::parse_token("OBSERVE"),
             Some(MonitorPolicy::Observe)
         );
-        assert_eq!(MonitorPolicy::parse(None), None);
-        assert_eq!(MonitorPolicy::parse(Some("")), None);
-        assert_eq!(MonitorPolicy::parse(Some("on")), None);
-        assert_eq!(MonitorPolicy::parse(Some("enforced")), None);
-        assert_eq!(MonitorPolicy::parse(Some("1")), None);
+        assert_eq!(MonitorPolicy::parse_token(""), None);
+        assert_eq!(MonitorPolicy::parse_token("on"), None);
+        assert_eq!(MonitorPolicy::parse_token("enforced"), None);
+        assert_eq!(MonitorPolicy::parse_token("1"), None);
     }
 
     #[test]

@@ -53,8 +53,8 @@ use std::fmt;
 /// Whether an evaluation applies the demand rewrite.
 ///
 /// The process-wide default comes from the `RTX_DEMAND` environment variable
-/// ([`DemandPolicy::from_env`] — strict: a malformed value is a hard error,
-/// never a silent fallback); a runtime or caller can override it
+/// ([`DemandPolicy::from_env_setting`] — strict: a malformed value is a hard
+/// error, never a silent fallback); a runtime or caller can override it
 /// programmatically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DemandPolicy {
@@ -73,13 +73,10 @@ impl DemandPolicy {
     /// message.
     pub const ENV_EXPECTED: &'static str = "`demand`/`on` or `full`/`off`";
 
-    /// Parses an `RTX_DEMAND` value (`full`/`off` or `demand`/`on`,
-    /// whitespace-trimmed, ASCII case-insensitive).  `None` (unset, empty or
-    /// garbage) falls through to the caller's default — prefer
-    /// [`DemandPolicy::from_env_setting`], which distinguishes "unset" from
-    /// "malformed" instead of conflating them.
-    pub fn parse(value: Option<&str>) -> Option<DemandPolicy> {
-        match value?.trim().to_ascii_lowercase().as_str() {
+    /// Parses one (pre-trimmed, non-empty) `RTX_DEMAND` token: `full`/`off`
+    /// or `demand`/`on`, ASCII case-insensitive.
+    fn parse_token(value: &str) -> Option<DemandPolicy> {
+        match value.to_ascii_lowercase().as_str() {
             "full" | "off" => Some(DemandPolicy::Full),
             "demand" | "on" => Some(DemandPolicy::Demand),
             _ => None,
@@ -95,16 +92,7 @@ impl DemandPolicy {
     pub fn from_env_setting(
         raw: Option<&str>,
     ) -> Result<Option<DemandPolicy>, rtx_relational::env::EnvParseError> {
-        rtx_relational::env::parse_setting("RTX_DEMAND", raw, Self::ENV_EXPECTED, |value| {
-            DemandPolicy::parse(Some(value))
-        })
-    }
-
-    /// Reads and strictly parses the `RTX_DEMAND` environment variable.
-    /// `Ok(None)` when unset: the caller's programmatic default applies.
-    pub fn from_env() -> Result<Option<DemandPolicy>, rtx_relational::env::EnvParseError> {
-        let raw = std::env::var("RTX_DEMAND").ok();
-        DemandPolicy::from_env_setting(raw.as_deref())
+        rtx_relational::env::parse_setting("RTX_DEMAND", raw, Self::ENV_EXPECTED, Self::parse_token)
     }
 }
 
@@ -990,14 +978,14 @@ mod tests {
     #[test]
     fn policy_parses_strictly() {
         assert_eq!(
-            DemandPolicy::parse(Some(" Demand ")),
+            DemandPolicy::parse_token("Demand"),
             Some(DemandPolicy::Demand)
         );
-        assert_eq!(DemandPolicy::parse(Some("on")), Some(DemandPolicy::Demand));
-        assert_eq!(DemandPolicy::parse(Some("full")), Some(DemandPolicy::Full));
-        assert_eq!(DemandPolicy::parse(Some("off")), Some(DemandPolicy::Full));
-        assert_eq!(DemandPolicy::parse(Some("sometimes")), None);
-        assert_eq!(DemandPolicy::parse(None), None);
+        assert_eq!(DemandPolicy::parse_token("on"), Some(DemandPolicy::Demand));
+        assert_eq!(DemandPolicy::parse_token("full"), Some(DemandPolicy::Full));
+        assert_eq!(DemandPolicy::parse_token("OFF"), Some(DemandPolicy::Full));
+        assert_eq!(DemandPolicy::parse_token("sometimes"), None);
+        assert_eq!(DemandPolicy::parse_token(""), None);
         assert_eq!(DemandPolicy::Demand.to_string(), "demand");
     }
 

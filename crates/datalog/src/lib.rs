@@ -122,7 +122,6 @@
 //! | `RTX_DEMAND` | `demand`/`on`, `full`/`off` | Default [`DemandPolicy`]: route evaluation through the magic-set rewrite, or evaluate unrewritten (demanded sessions then filter to the same footprint — the kill-switch is result-identical). |
 //! | `RTX_MONITOR` | `off`, `observe`, `enforce` | Default monitor policy of the runtime's session guardrails (`rtx-core::supervise`). |
 //! | `RTX_FSYNC` | `always`, `never`, `every:n` | Fsync policy of the durable store's write-ahead log (`rtx-store`). |
-//! | `RTX_SHARDS` | `n` ≥ 1 (unset = 1) | Shard count of `rtx-core`'s sharded session runtime; `RTX_THREADS` workers are divided among the shards. |
 //!
 //! Parsing is **strict and uniform** (`rtx_relational::env`): values are
 //! trimmed and keywords are case-insensitive, but anything malformed is a

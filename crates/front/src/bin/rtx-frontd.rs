@@ -9,38 +9,43 @@
 //! [`rtx_front::run_smoke`] exchange against itself and exits non-zero on
 //! any mismatch — the CI end-to-end check.
 
-use rtx_front::{run_smoke, FrontConfig, FrontServer};
+use rtx_front::{flag_value, run_smoke, FrontConfig, FrontServer};
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
+const USAGE: &str = "usage: rtx-frontd [--addr A] [--shards N] [--queue-depth N] [--smoke]";
+
+/// The parsed command line: listen address, server configuration, smoke
+/// mode.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(String, FrontConfig, bool), String> {
     let mut addr = "127.0.0.1:7171".to_string();
     let mut config = FrontConfig::default();
     let mut smoke = false;
-
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} requires a value"))
-        };
         match arg.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--shards" => {
-                config.shards = value("--shards").parse().expect("--shards: positive int")
-            }
+            "--addr" => addr = flag_value(&arg, args.next())?,
+            "--shards" => config.shards = flag_value::<NonZeroUsize>(&arg, args.next())?.get(),
             "--queue-depth" => {
-                config.queue_depth = value("--queue-depth")
-                    .parse()
-                    .expect("--queue-depth: positive int")
+                config.queue_depth = flag_value::<NonZeroUsize>(&arg, args.next())?.get()
             }
             "--smoke" => smoke = true,
-            other => {
-                eprintln!("unknown flag `{other}`");
-                eprintln!("usage: rtx-frontd [--addr A] [--shards N] [--queue-depth N] [--smoke]");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    Ok((addr, config, smoke))
+}
+
+fn main() -> ExitCode {
+    let (mut addr, config, smoke) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(detail) => {
+            eprintln!("rtx-frontd: {detail}");
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     if smoke {
         addr = "127.0.0.1:0".to_string();

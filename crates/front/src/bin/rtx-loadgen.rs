@@ -21,9 +21,12 @@
 
 use rtx_core::{MonitorPolicy, ShardedRuntime};
 use rtx_datalog::{Parallelism, ResidentDb};
-use rtx_front::{combined_catalog, render_instance, FrontClient, FrontConfig, FrontServer};
+use rtx_front::{
+    combined_catalog, flag_value, render_instance, FrontClient, FrontConfig, FrontServer,
+};
 use rtx_relational::InstanceSequence;
 use rtx_workloads::scenarios::Scenario;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -255,7 +258,10 @@ fn run_wire(config: &Config) -> Result<u64, String> {
     Ok(total)
 }
 
-fn main() -> ExitCode {
+const USAGE: &str = "usage: rtx-loadgen [--mode direct|wire] [--sessions N] [--steps K] \
+                     [--shards S] [--threads T] [--addr host:port] [--seed N]";
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Config, String> {
     let mut config = Config {
         mode: Mode::Direct,
         sessions: 512,
@@ -265,40 +271,37 @@ fn main() -> ExitCode {
         addr: None,
         seed: 42,
     };
-    let mut args = std::env::args().skip(1);
+    let count = |flag: &str, value| flag_value::<NonZeroUsize>(flag, value).map(NonZeroUsize::get);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} requires a value"))
-        };
         match arg.as_str() {
             "--mode" => {
-                config.mode = match value("--mode").as_str() {
+                config.mode = match flag_value::<String>(&arg, args.next())?.as_str() {
                     "direct" => Mode::Direct,
                     "wire" => Mode::Wire,
-                    other => {
-                        eprintln!("unknown mode `{other}` (direct|wire)");
-                        return ExitCode::FAILURE;
-                    }
+                    other => return Err(format!("unknown mode `{other}` (direct|wire)")),
                 }
             }
-            "--sessions" => config.sessions = value("--sessions").parse().expect("--sessions: int"),
-            "--steps" => config.steps = value("--steps").parse().expect("--steps: int"),
-            "--shards" => config.shards = value("--shards").parse().expect("--shards: int"),
-            "--threads" => config.threads = value("--threads").parse().expect("--threads: int"),
-            "--seed" => config.seed = value("--seed").parse().expect("--seed: int"),
-            "--addr" => config.addr = Some(value("--addr")),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                eprintln!(
-                    "usage: rtx-loadgen [--mode direct|wire] [--sessions N] [--steps K] \
-                     [--shards S] [--threads T] [--addr host:port] [--seed N]"
-                );
-                return ExitCode::FAILURE;
-            }
+            "--sessions" => config.sessions = count(&arg, args.next())?,
+            "--steps" => config.steps = count(&arg, args.next())?,
+            "--shards" => config.shards = count(&arg, args.next())?,
+            "--threads" => config.threads = count(&arg, args.next())?,
+            "--seed" => config.seed = flag_value(&arg, args.next())?,
+            "--addr" => config.addr = Some(flag_value(&arg, args.next())?),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    config.threads = config.threads.max(1);
+    Ok(config)
+}
+
+fn main() -> ExitCode {
+    let config = match parse_args(std::env::args().skip(1)) {
+        Ok(config) => config,
+        Err(detail) => {
+            eprintln!("rtx-loadgen: {detail}");
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let started = Instant::now();
     let result = match config.mode {

@@ -568,6 +568,24 @@ fn execute(
     }
 }
 
+/// Strictly parses the value of a command-line flag for `rtx-frontd` and
+/// `rtx-loadgen`.  `value` is the argument after the flag (`None` when the
+/// flag ended the command line).  A missing value, or one `T` does not
+/// parse, is an error naming the flag and the offending text; the binaries
+/// print it with their usage line and exit non-zero.  Counts parse as
+/// [`NonZeroUsize`](std::num::NonZeroUsize), so `0` is refused rather than
+/// clamped.
+pub fn flag_value<T>(flag: &str, value: Option<String>) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let value = value.ok_or_else(|| format!("{flag} requires a value"))?;
+    value
+        .parse()
+        .map_err(|e| format!("{flag}: invalid value `{value}`: {e}"))
+}
+
 /// A blocking line-protocol client for [`FrontServer`].
 pub struct FrontClient {
     reader: BufReader<TcpStream>,
@@ -710,6 +728,41 @@ mod tests {
         assert!(parse_facts("order(", &schema).is_err());
         assert!(parse_facts("nope(x)", &schema).is_err());
         assert!(parse_facts("order(x,y,z)", &schema).is_err());
+    }
+
+    fn shards_flag(value: Option<&str>) -> Result<usize, String> {
+        flag_value::<std::num::NonZeroUsize>("--shards", value.map(str::to_string)).map(|n| n.get())
+    }
+
+    #[test]
+    fn flag_value_rejects_a_missing_value() {
+        let err = shards_flag(None).unwrap_err();
+        assert_eq!(err, "--shards requires a value");
+        assert_eq!(shards_flag(Some("4")), Ok(4));
+    }
+
+    #[test]
+    fn flag_value_rejects_a_zero_count() {
+        let err = shards_flag(Some("0")).unwrap_err();
+        assert!(err.starts_with("--shards: invalid value `0`"), "{err}");
+    }
+
+    #[test]
+    fn flag_value_rejects_a_negative_count() {
+        let err = shards_flag(Some("-2")).unwrap_err();
+        assert!(err.starts_with("--shards: invalid value `-2`"), "{err}");
+    }
+
+    #[test]
+    fn flag_value_rejects_a_word() {
+        let err = shards_flag(Some("two")).unwrap_err();
+        assert!(err.starts_with("--shards: invalid value `two`"), "{err}");
+    }
+
+    #[test]
+    fn flag_value_rejects_a_fraction() {
+        let err = shards_flag(Some("2.5")).unwrap_err();
+        assert!(err.starts_with("--shards: invalid value `2.5`"), "{err}");
     }
 
     #[test]

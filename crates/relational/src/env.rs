@@ -1,7 +1,7 @@
 //! Strict parsing of `RTX_*` environment overrides.
 //!
 //! Every process-wide knob of the workspace (`RTX_THREADS`, `RTX_DEMAND`,
-//! `RTX_MONITOR`, `RTX_FSYNC`, `RTX_SHARDS`, …) funnels through this module
+//! `RTX_MONITOR`, `RTX_FSYNC`) funnels through this module
 //! so that all of them share one contract:
 //!
 //! * **unset** (or set to the empty / all-whitespace string) means "no

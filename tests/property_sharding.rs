@@ -93,71 +93,43 @@ fn run_fleet(
     let db = Arc::new(ResidentDb::new(catalog.clone()));
     let scenarios = Scenario::all();
 
-    // `Either`-free dispatch: open all sessions up front, on the sharded or
-    // the plain runtime, and erase the difference behind closures.
-    enum Fleet {
-        Plain(Runtime, Vec<Session>),
-        Sharded(ShardedRuntime, Vec<ShardedSession>),
-    }
-    let mut fleet = match shards {
-        None => Fleet::Plain(
-            Runtime::shared_with(Arc::clone(&db), Parallelism::default()),
-            Vec::new(),
-        ),
-        Some(n) => Fleet::Sharded(
-            ShardedRuntime::shared_with(Arc::clone(&db), n, Parallelism::default()),
-            Vec::new(),
-        ),
+    // A sharded runtime is a `Runtime` built with a shard count: both
+    // fleets run through the same code below.
+    let runtime = match shards {
+        None => Runtime::shared_with(Arc::clone(&db), Parallelism::default()),
+        Some(n) => Runtime::clone(&ShardedRuntime::shared_with(
+            Arc::clone(&db),
+            n,
+            Parallelism::default(),
+        )),
     };
+    let mut sessions: Vec<Session> = Vec::with_capacity(plans.len());
     for plan in plans {
         let transducer = lookup_model(plan.model)
             .expect("planned models exist")
             .transducer;
-        let monitor = plan.monitored.then(|| {
+        let mut session = if plan.demanded {
+            runtime
+                .open_session_with_demand(
+                    plan.name.clone(),
+                    transducer,
+                    rtx::workloads::storefront_demand(),
+                )
+                .unwrap()
+        } else {
+            runtime.open_session(plan.name.clone(), transducer).unwrap()
+        };
+        if plan.monitored {
             let scenario = scenarios
                 .iter()
                 .find(|s| s.name == plan.model)
                 .expect("monitored plans are scenarios");
-            scenario.monitor(&db).expect("scenario monitors build")
-        });
-        match &mut fleet {
-            Fleet::Plain(runtime, sessions) => {
-                let mut session = if plan.demanded {
-                    runtime
-                        .open_session_with_demand(
-                            plan.name.clone(),
-                            transducer,
-                            rtx::workloads::storefront_demand(),
-                        )
-                        .unwrap()
-                } else {
-                    runtime.open_session(plan.name.clone(), transducer).unwrap()
-                };
-                if let Some(monitor) = monitor {
-                    session.set_monitor_policy(MonitorPolicy::Observe);
-                    session.attach_observer(Box::new(monitor));
-                }
-                sessions.push(session);
-            }
-            Fleet::Sharded(runtime, sessions) => {
-                let mut session = if plan.demanded {
-                    runtime
-                        .open_session_with_demand(
-                            plan.name.clone(),
-                            transducer,
-                            rtx::workloads::storefront_demand(),
-                        )
-                        .unwrap()
-                } else {
-                    runtime.open_session(plan.name.clone(), transducer).unwrap()
-                };
-                if let Some(monitor) = monitor {
-                    session.set_monitor_policy(MonitorPolicy::Observe);
-                    session.attach_observer(Box::new(monitor));
-                }
-                sessions.push(session);
-            }
+            session.set_monitor_policy(MonitorPolicy::Observe);
+            session.attach_observer(Box::new(
+                scenario.monitor(&db).expect("scenario monitors build"),
+            ));
         }
+        sessions.push(session);
     }
 
     let rounds = plans.iter().map(|p| p.inputs.len()).max().unwrap_or(0);
@@ -175,19 +147,11 @@ fn run_fleet(
         apply_ops(&db, &ops[lo..hi]);
         for (i, plan) in plans.iter().enumerate() {
             if let Some(input) = plan.inputs.get(round) {
-                let out = match &mut fleet {
-                    Fleet::Plain(_, sessions) => sessions[i].step(input).unwrap(),
-                    Fleet::Sharded(_, sessions) => sessions[i].step(input).unwrap(),
-                };
-                outputs[i].push(out);
+                outputs[i].push(sessions[i].step(input).unwrap());
             }
         }
     }
-    let health = match &fleet {
-        Fleet::Plain(runtime, _) => runtime.health(),
-        Fleet::Sharded(runtime, _) => runtime.health(),
-    };
-    (outputs, health)
+    (outputs, runtime.health())
 }
 
 proptest! {
