@@ -301,6 +301,11 @@ impl DemandPlan {
         self.policy
     }
 
+    /// The demand the plan was compiled from.
+    pub(crate) fn spec(&self) -> &SessionDemand {
+        &self.spec
+    }
+
     /// The rewritten, compiled program — `None` under the
     /// [`DemandPolicy::Full`] fallback (the stepper evaluates the original
     /// program).

@@ -42,12 +42,12 @@ use rtx_datalog::{
     ChangeClass, DemandPolicy, EvalBudget, EvalStats, Parallelism, ResidentDb, ResidentView,
     StepEvaluator,
 };
-use rtx_relational::{Instance, InstanceSequence, RelationName};
+use rtx_relational::{Instance, InstanceSequence, Relation, RelationName, Schema, Tuple};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 /// Locks a mutex, recovering from poisoning.  Every runtime lock guards
 /// simple ownership records (name sets, counters) that are valid after any
@@ -85,8 +85,9 @@ pub(crate) struct IncrementalStepper {
     /// [`DemandPolicy::Demand`] the evaluator runs the magic-set-rewritten
     /// program with the step's seed facts merged into the volatile sources;
     /// under [`DemandPolicy::Full`] the original program runs and the output
-    /// is filtered to the same footprint.
-    demand: Option<DemandPlan>,
+    /// is filtered to the same footprint.  Plans are shared by every
+    /// session opened with the same transducer, demand and policy.
+    demand: Option<Arc<DemandPlan>>,
     /// State after the last step (`S_{i-1}` when evaluating step `i`).
     state: Instance,
     /// State before that (`S_{i-2}`).
@@ -120,7 +121,7 @@ impl IncrementalStepper {
         transducer: &SpocusTransducer,
         db: &ResidentDb,
         parallelism: Parallelism,
-        plan: DemandPlan,
+        plan: Arc<DemandPlan>,
     ) -> Result<Self, CoreError> {
         Self::with_pinning(transducer, db, false, parallelism, Some(plan))
     }
@@ -130,7 +131,7 @@ impl IncrementalStepper {
         db: &ResidentDb,
         pin_view: bool,
         parallelism: Parallelism,
-        demand: Option<DemandPlan>,
+        demand: Option<Arc<DemandPlan>>,
     ) -> Result<Self, CoreError> {
         let schema = transducer.schema();
         let input = schema.input().clone();
@@ -173,7 +174,7 @@ impl IncrementalStepper {
 
     /// The session's demand plan, if it was opened with one.
     pub(crate) fn demand(&self) -> Option<&DemandPlan> {
-        self.demand.as_ref()
+        self.demand.as_deref()
     }
 
     /// The state after the last step.
@@ -197,13 +198,13 @@ impl IncrementalStepper {
     }
 
     /// Evaluates one step and cumulates the state, returning the step's
-    /// output and the state after the step.
+    /// output ([`IncrementalStepper::state`] is the state after the step).
     pub(crate) fn step(
         &mut self,
         transducer: &SpocusTransducer,
         db: &ResidentDb,
         input: &Instance,
-    ) -> Result<(Instance, Instance), CoreError> {
+    ) -> Result<Instance, CoreError> {
         // A shared catalog may have changed under us: refresh the view and
         // reseed the step caches whose static-relation assumptions are void.
         // Staleness is per relation — mutations (inserts *and* retractions)
@@ -296,7 +297,7 @@ impl IncrementalStepper {
         }
         self.old_state = std::mem::replace(&mut self.state, next);
         self.delta = delta;
-        Ok((output, self.state.clone()))
+        Ok(output)
     }
 }
 
@@ -371,6 +372,56 @@ struct RuntimeInner {
     /// name.  Non-empty ⇒ every `open_session*` is rejected until the
     /// corresponding explicit setter clears the entry.
     env_errors: Mutex<Vec<(&'static str, String)>>,
+    /// Compiled demand plans, memoised per (transducer, demand, policy).
+    /// The `Weak` keeps the transducer's allocation, so its address cannot
+    /// be reused by another transducer while the entry exists.
+    plans: Mutex<Vec<(Weak<SpocusTransducer>, Arc<DemandPlan>)>>,
+}
+
+/// Memoised demand plans beyond which plans no open session uses are
+/// evicted, so per-session demands (session constants) cannot grow the memo
+/// without bound.
+const PLAN_MEMO_SOFT_CAP: usize = 64;
+
+impl RuntimeInner {
+    /// The compiled plan for `demand` on `transducer` under `policy`: the
+    /// memoised one if an earlier open compiled it, else a fresh one (then
+    /// memoised).  Entries whose transducer was dropped are pruned here.
+    fn demand_plan(
+        &self,
+        transducer: &Arc<SpocusTransducer>,
+        demand: SessionDemand,
+        policy: DemandPolicy,
+    ) -> Result<Arc<DemandPlan>, CoreError> {
+        let find = |memo: &[(Weak<SpocusTransducer>, Arc<DemandPlan>)]| {
+            memo.iter()
+                .find(|(model, plan)| {
+                    model.as_ptr() == Arc::as_ptr(transducer)
+                        && plan.policy() == policy
+                        && plan.spec() == &demand
+                })
+                .map(|(_, plan)| Arc::clone(plan))
+        };
+        {
+            let mut memo = lock_clean(&self.plans);
+            memo.retain(|(model, _)| model.strong_count() > 0);
+            if let Some(plan) = find(&memo) {
+                return Ok(plan);
+            }
+        }
+        // Compile outside the lock; a concurrent open of the same demand
+        // may compile it too, and the first to finish is memoised.
+        let plan = Arc::new(DemandPlan::new(transducer, demand.clone(), policy)?);
+        let mut memo = lock_clean(&self.plans);
+        if let Some(plan) = find(&memo) {
+            return Ok(plan);
+        }
+        if memo.len() >= PLAN_MEMO_SOFT_CAP {
+            memo.retain(|(_, plan)| Arc::strong_count(plan) > 1);
+        }
+        memo.push((Arc::downgrade(transducer), Arc::clone(&plan)));
+        Ok(plan)
+    }
 }
 
 /// A resident transducer runtime: one shared [`ResidentDb`] serving many
@@ -453,6 +504,7 @@ impl Runtime {
                 }),
                 health: HealthInner::default(),
                 env_errors: Mutex::new(env_errors),
+                plans: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -670,14 +722,17 @@ impl Runtime {
         let config = *lock_clean(&self.inner.config);
         let built = match demand {
             None => IncrementalStepper::new(&transducer, &self.inner.db, self.inner.parallelism),
-            Some(spec) => DemandPlan::new(&transducer, spec, config.demand).and_then(|plan| {
-                IncrementalStepper::demanded(
-                    &transducer,
-                    &self.inner.db,
-                    self.inner.parallelism,
-                    plan,
-                )
-            }),
+            Some(spec) => self
+                .inner
+                .demand_plan(&transducer, spec, config.demand)
+                .and_then(|plan| {
+                    IncrementalStepper::demanded(
+                        &transducer,
+                        &self.inner.db,
+                        self.inner.parallelism,
+                        plan,
+                    )
+                }),
         };
         let mut stepper = match built {
             Ok(stepper) => stepper,
@@ -687,14 +742,12 @@ impl Runtime {
             }
         };
         stepper.set_budget(config.budget);
-        let schema = transducer.schema();
         Ok(Session {
             name,
             shard,
             runtime: Arc::clone(&self.inner),
-            inputs: InstanceSequence::empty(schema.input().clone()),
-            outputs: InstanceSequence::empty(schema.output().clone()),
-            states: InstanceSequence::empty(schema.state().clone()),
+            inputs: History::default(),
+            outputs: History::default(),
             transducer,
             stepper,
             policy: config.policy,
@@ -719,14 +772,84 @@ impl Runtime {
     }
 }
 
+/// Relations of at most this many tuples are recorded by copying their
+/// tuples, which takes less memory than the tuple-set node holding them.
+const COPIED_TUPLES: usize = 8;
+
+/// One non-empty relation of a recorded step.
+#[derive(Debug)]
+enum Recorded {
+    /// A few tuples, copied.
+    Tuples(Box<[Tuple]>),
+    /// A larger relation, kept by sharing its copy-on-write tuple set.
+    Shared(Relation),
+}
+
+/// A session's input or output sequence, kept as each step's non-empty
+/// relations only, each tagged with its position in the schema.  A full
+/// [`Instance`] per step would hold an entry for every relation, and a
+/// one-tuple relation alone holds a fixed-size tuple-set node of about
+/// 800 B, ten times its tuple; so small relations are copied and large ones
+/// shared.  [`History::sequence`] rebuilds the instances.
+#[derive(Debug, Default)]
+struct History {
+    steps: Vec<Box<[(usize, Recorded)]>>,
+}
+
+impl History {
+    fn len(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Records one step; `instance` must be over the history's schema.
+    fn push(&mut self, instance: &Instance) {
+        let step = instance
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, relation))| !relation.is_empty())
+            .map(|(position, (_, relation))| {
+                let recorded = if relation.len() <= COPIED_TUPLES {
+                    Recorded::Tuples(relation.iter().cloned().collect())
+                } else {
+                    Recorded::Shared(relation.clone())
+                };
+                (position, recorded)
+            })
+            .collect();
+        self.steps.push(step);
+    }
+
+    /// The recorded steps as instances of `schema`.
+    fn sequence(&self, schema: &Schema) -> Result<InstanceSequence, CoreError> {
+        let names: Vec<&RelationName> = schema.names().collect();
+        let mut sequence = InstanceSequence::empty(schema.clone());
+        for step in &self.steps {
+            let mut instance = Instance::empty(schema);
+            for (position, recorded) in step.iter() {
+                let name = names[*position];
+                match recorded {
+                    Recorded::Tuples(tuples) => {
+                        for tuple in tuples.iter() {
+                            instance.insert(name, tuple.clone())?;
+                        }
+                    }
+                    Recorded::Shared(relation) => instance.absorb_relation(name, relation)?,
+                }
+            }
+            sequence.push(instance)?;
+        }
+        Ok(sequence)
+    }
+}
+
 /// One transducer run in progress against a [`Runtime`]'s shared database.
 ///
 /// Inputs arrive one step at a time through [`Session::step`]; the session
-/// accumulates the input/state/output sequences and can render them as a
-/// paper-semantics [`Run`] at any point.  Sessions are `Send`: move each to
-/// its own thread and step them concurrently — they share the catalog and
-/// its indexes, nothing else.  The session name is released when the session
-/// is dropped.
+/// accumulates the input and output sequences and can render them, with
+/// the states they induce, as a paper-semantics [`Run`] at any point.
+/// Sessions are `Send`: move each to its own thread and step them
+/// concurrently — they share the catalog and its indexes, nothing else.  The
+/// session name is released when the session is dropped.
 #[derive(Debug)]
 pub struct Session {
     name: String,
@@ -734,9 +857,8 @@ pub struct Session {
     runtime: Arc<RuntimeInner>,
     transducer: Arc<SpocusTransducer>,
     stepper: IncrementalStepper,
-    inputs: InstanceSequence,
-    outputs: InstanceSequence,
-    states: InstanceSequence,
+    inputs: History,
+    outputs: History,
     policy: MonitorPolicy,
     observer: Option<Box<dyn SessionObserver>>,
     violations: Vec<Violation>,
@@ -766,7 +888,7 @@ impl Session {
 
     /// True if no step has been taken.
     pub fn is_empty(&self) -> bool {
-        self.inputs.is_empty()
+        self.inputs.len() == 0
     }
 
     /// The cumulative state after the last step.
@@ -882,12 +1004,16 @@ impl Session {
                 detail: "step on a quarantined session".into(),
             });
         }
-        if &input.schema() != self.transducer.schema().input() {
+        let expected = self.transducer.schema().input();
+        if !input
+            .iter()
+            .map(|(name, relation)| (name, relation.arity()))
+            .eq(expected.iter())
+        {
             return Err(CoreError::SchemaMismatch {
                 detail: format!(
-                    "step input schema {} does not match the transducer input schema {}",
+                    "step input schema {} does not match the transducer input schema {expected}",
                     input.schema(),
-                    self.transducer.schema().input()
                 ),
             });
         }
@@ -926,16 +1052,15 @@ impl Session {
         let stepped = catch_unwind(AssertUnwindSafe(|| {
             stepper.step(transducer, db.as_ref(), input)
         }));
-        let (output, next_state) = match stepped {
+        let output = match stepped {
             Ok(result) => result?,
             Err(payload) => {
                 let detail = format!("step evaluation panicked: {}", panic_detail(&*payload));
                 return Err(self.quarantine(detail));
             }
         };
-        self.inputs.push(input.clone())?;
-        self.outputs.push(output.clone())?;
-        self.states.push(next_state)?;
+        self.inputs.push(input);
+        self.outputs.push(&output);
 
         if monitored {
             let observer = self.observer.as_mut().expect("observer checked above");
@@ -957,17 +1082,24 @@ impl Session {
     /// The run so far, as the paper's run object (inputs, states, outputs and
     /// the induced log).  The recorded database is the current snapshot of
     /// the shared catalog, restricted to the transducer's `db` relations.
+    ///
+    /// A session keeps no state history: a Spocus state *is* the cumulated
+    /// input (§2, `past-R := past-R ∪ R`), so the states are rebuilt here
+    /// from the recorded inputs, equal to the ones the steps evaluated
+    /// against.
     pub fn run(&self) -> Result<Run, CoreError> {
-        let db_names: BTreeSet<RelationName> =
-            self.transducer.schema().db().names().cloned().collect();
+        let schema = self.transducer.schema();
+        let db_names: BTreeSet<RelationName> = schema.db().names().cloned().collect();
         let db = self.runtime.db.snapshot().restrict_to_set(&db_names);
-        Run::new(
-            self.transducer.schema().clone(),
-            db,
-            self.inputs.clone(),
-            self.states.clone(),
-            self.outputs.clone(),
-        )
+        let inputs = self.inputs.sequence(schema.input())?;
+        let mut states = InstanceSequence::empty(schema.state().clone());
+        let mut state = Instance::empty(schema.state());
+        for input in inputs.iter() {
+            state = crate::RelationalTransducer::state_step(&*self.transducer, input, &state, &db)?;
+            states.push(state.clone())?;
+        }
+        let outputs = self.outputs.sequence(schema.output())?;
+        Run::new(schema.clone(), db, inputs, states, outputs)
     }
 }
 
@@ -1335,6 +1467,64 @@ mod tests {
             "sendbill",
             &Tuple::new(vec![Value::str("economist"), Value::int(700)])
         ));
+    }
+
+    fn plan_of(session: &Session) -> &Arc<DemandPlan> {
+        session.stepper.demand.as_ref().expect("a demanded session")
+    }
+
+    #[test]
+    fn demand_plans_are_shared_and_pruned_with_their_transducer() {
+        let runtime = Runtime::new(ResidentDb::new(models::figure1_database()));
+        let transducer = Arc::new(models::short());
+        let open = |name: &str, transducer: &Arc<SpocusTransducer>| {
+            runtime
+                .open_session_with_demand(name, Arc::clone(transducer), short_demand())
+                .unwrap()
+        };
+        let a = open("a", &transducer);
+        let b = open("b", &transducer);
+        assert!(Arc::ptr_eq(plan_of(&a), plan_of(&b)));
+        // Another policy, or another transducer, gets a plan of its own.
+        runtime.set_demand_policy(DemandPolicy::Full);
+        let c = open("c", &transducer);
+        assert!(!Arc::ptr_eq(plan_of(&a), plan_of(&c)));
+        let other = Arc::new(models::short());
+        let d = open("d", &other);
+        assert!(!Arc::ptr_eq(plan_of(&c), plan_of(&d)));
+        assert_eq!(lock_clean(&runtime.inner.plans).len(), 3);
+
+        // Once a transducer is gone, the next open drops its plans.
+        drop((a, b, c, transducer));
+        let _e = open("e", &other);
+        assert_eq!(lock_clean(&runtime.inner.plans).len(), 1);
+    }
+
+    #[test]
+    fn unused_demand_plans_are_evicted_beyond_the_memo_cap() {
+        let runtime = Runtime::new(ResidentDb::new(models::figure1_database()));
+        let transducer = Arc::new(models::short());
+        let kept = runtime
+            .open_session_with_demand("kept", Arc::clone(&transducer), short_demand())
+            .unwrap();
+        // Per-session constants make every demand distinct.
+        for n in 0..2 * PLAN_MEMO_SOFT_CAP {
+            let demand = SessionDemand::new().goal(
+                SessionGoal::new("sendbill", "bf")
+                    .unwrap()
+                    .with_constants([Tuple::from_iter([format!("product-{n}")])]),
+            );
+            let session = runtime
+                .open_session_with_demand("probe", Arc::clone(&transducer), demand)
+                .unwrap();
+            drop(session);
+            assert!(lock_clean(&runtime.inner.plans).len() <= PLAN_MEMO_SOFT_CAP);
+        }
+        // A plan a session still uses survives eviction.
+        let again = runtime
+            .open_session_with_demand("again", transducer, short_demand())
+            .unwrap();
+        assert!(Arc::ptr_eq(plan_of(&kept), plan_of(&again)));
     }
 
     #[test]

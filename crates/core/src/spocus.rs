@@ -218,7 +218,8 @@ impl SpocusTransducer {
             stepper.view_instance().restrict_to_set(&db_names)
         });
         crate::transducer::drive_run(&self.schema, &recorded, inputs, |input, _previous_state| {
-            stepper.step(self, db, input)
+            let output = stepper.step(self, db, input)?;
+            Ok((output, stepper.state().clone()))
         })
     }
 }

@@ -22,7 +22,8 @@
 use rtx_core::{MonitorPolicy, ShardedRuntime};
 use rtx_datalog::{Parallelism, ResidentDb};
 use rtx_front::{
-    combined_catalog, flag_value, render_instance, FrontClient, FrontConfig, FrontServer,
+    combined_catalog, flag_value, lookup_model, render_instance, FrontClient, FrontConfig,
+    FrontModel, FrontServer, MODEL_NAMES,
 };
 use rtx_relational::InstanceSequence;
 use rtx_workloads::scenarios::Scenario;
@@ -57,8 +58,13 @@ struct Plan {
     inputs: InstanceSequence,
 }
 
-fn plan(i: usize, steps: usize, seed: u64, catalog: &rtx_relational::Instance) -> Plan {
-    let scenarios = Scenario::all();
+fn plan(
+    i: usize,
+    steps: usize,
+    seed: u64,
+    catalog: &rtx_relational::Instance,
+    scenarios: &[Scenario],
+) -> Plan {
     let session_seed = seed + i as u64;
     match i % 7 {
         0 => Plan {
@@ -114,15 +120,19 @@ fn run_direct(config: &Config) -> Result<u64, String> {
             (config.sessions, config.steps, config.seed, config.threads);
         handles.push(std::thread::spawn(move || -> Result<u64, String> {
             let scenarios = Scenario::all();
+            let models: Vec<FrontModel> =
+                MODEL_NAMES.iter().filter_map(|m| lookup_model(m)).collect();
             // Phase 1: open this thread's whole slice of the fleet, so the
             // configured session count is genuinely *concurrent* — every
             // session stays open while every other one steps.
             let mut local = Vec::new();
             for i in (t..sessions).step_by(threads) {
-                let plan = plan(i, steps, seed, &catalog);
-                let transducer = rtx_front::lookup_model(plan.model)
-                    .expect("planned models exist")
-                    .transducer;
+                let plan = plan(i, steps, seed, &catalog, &scenarios);
+                let transducer = models
+                    .iter()
+                    .find(|m| m.name == plan.model)
+                    .map(|m| Arc::clone(&m.transducer))
+                    .expect("planned models exist");
                 let mut session = if plan.demanded {
                     fleet.open_session_with_demand(
                         plan.name.clone(),
@@ -204,10 +214,11 @@ fn run_wire(config: &Config) -> Result<u64, String> {
         let (sessions, steps, seed, threads) =
             (config.sessions, config.steps, config.seed, config.threads);
         handles.push(std::thread::spawn(move || -> Result<u64, String> {
+            let scenarios = Scenario::all();
             let mut client = FrontClient::connect(addr).map_err(|e| e.to_string())?;
             let mut stepped = 0u64;
             for i in (t..sessions).step_by(threads) {
-                let plan = plan(i, steps, seed, &catalog);
+                let plan = plan(i, steps, seed, &catalog, &scenarios);
                 let open = if plan.demanded {
                     format!("OPEN {} {} demand", plan.name, plan.model)
                 } else {

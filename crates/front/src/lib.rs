@@ -24,24 +24,47 @@
 //!   so a high-rate client amortizes queue traffic without starving
 //!   interactive sessions (per-shard FIFO order is preserved).
 //!
+//! # Transport
+//!
+//! A wire `STEP` costs what its work costs — parse, step, render — plus one
+//! queue hop each way:
+//!
+//! * every accepted stream, and every [`FrontClient`], sets `TCP_NODELAY`,
+//!   and every reply leaves in exactly **one** `write_all` (a `BATCH`'s n+1
+//!   lines included), so no line waits for the peer's delayed ACK;
+//! * each connection owns **one reusable job**: the request, a batch's step
+//!   lines and the reply buffer travel to the shard worker and come back
+//!   over the connection's own `sync_channel(1)`, and the worker renders
+//!   the reply straight into that buffer.  A warm connection allocates no
+//!   buffers per request;
+//! * the servable models ([`MODEL_NAMES`]) are built once, at
+//!   [`FrontServer::bind`], and every `OPEN` shares them;
+//! * input is bounded before anything is allocated for it: a line (request
+//!   or batch step) longer than 64 KiB, or a `BATCH` of more than 4,096
+//!   steps, is answered with an `ERR` and closes **that** connection only,
+//!   since its stream is out of sync.  Every other connection and session is
+//!   unaffected.
+//!
 //! # Protocol
 //!
 //! Requests are single lines, replies are single lines (except `BATCH`,
-//! which replies one `OUT` line per step followed by `OK`):
+//! which replies one line per step followed by `OK`):
 //!
 //! | request | reply |
 //! |---|---|
 //! | `OPEN <session> <model> [demand]` | `OK open <session> shard=<k>` |
 //! | `STEP <session> <facts>` | `OUT <facts>` |
-//! | `BATCH <session> <n>` + n fact lines | n× `OUT <facts>`, then `OK batch <n>` |
+//! | `BATCH <session> <n>` + n fact lines | per step `OUT <facts>` or `ERR step <i>: <detail>`, then `OK batch <n>` |
 //! | `CLOSE <session>` | `OK close <session>` |
 //! | `HEALTH` | `OK health active=… quarantined=… violations=… rejections=…` |
 //! | `SHUTDOWN` | `OK bye` |
 //!
 //! plus `ERR <detail>` for any failure and `BUSY <detail>` for backpressure.
-//! `<facts>` is `-` (empty instance) or `rel(v,…);rel(v,…)` with integer or
-//! bare-string values — see [`parse_facts`]/[`render_instance`], which
-//! round-trip.
+//! Inside a batch a failing step answers `ERR step <i>: <detail>` (`<i>`
+//! counts the batch's steps from 0) and the batch goes on; any other `ERR`,
+//! or `BUSY`, is the whole reply.  `<facts>` is `-` (empty instance) or
+//! `rel(v,…);rel(v,…)` with integer or bare-string values — see
+//! [`parse_facts`]/[`render_instance`], which round-trip.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,13 +72,20 @@
 use rtx_core::{models, SessionDemand, ShardedRuntime, ShardedSession, SpocusTransducer};
 use rtx_datalog::{Parallelism, ResidentDb};
 use rtx_relational::{Instance, Schema, Tuple, Value};
-use rtx_workloads::scenarios::Scenario;
+use rtx_workloads::scenarios::{self, Scenario};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufRead, BufReader, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
+
+/// The longest line the server reads, request or batch step, without its
+/// line end.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+/// The most steps one `BATCH` may carry.
+const MAX_BATCH_STEPS: usize = 4096;
 
 /// A named business model servable by the front-end: the transducer plus,
 /// when the model supports it, the demand a `OPEN … demand` session is
@@ -69,35 +99,35 @@ pub struct FrontModel {
     pub demand: Option<SessionDemand>,
 }
 
-/// Looks up a servable model by name: the paper's `short` model, the
+/// Builds a servable model by name: the paper's `short` model, the
 /// workload `category`/`storefront` models (the latter with its
-/// per-session demand), and the four guardrail scenarios.
+/// per-session demand), and the four guardrail scenarios.  Each call parses
+/// and compiles a fresh transducer; [`FrontServer::bind`] calls it once per
+/// [`MODEL_NAMES`] entry.
 pub fn lookup_model(name: &str) -> Option<FrontModel> {
-    match name {
-        "short" => Some(FrontModel {
-            name: "short",
-            transducer: Arc::new(models::short()),
-            demand: None,
-        }),
-        "category" => Some(FrontModel {
-            name: "category",
-            transducer: Arc::new(rtx_workloads::category_model()),
-            demand: None,
-        }),
-        "storefront" => Some(FrontModel {
-            name: "storefront",
-            transducer: Arc::new(rtx_workloads::storefront_model()),
-            demand: Some(rtx_workloads::storefront_demand()),
-        }),
-        _ => Scenario::all()
-            .into_iter()
-            .find(|s| s.name == name)
-            .map(|s| FrontModel {
-                name: s.name,
-                transducer: s.transducer,
-                demand: None,
-            }),
-    }
+    let (name, transducer, demand) = match name {
+        "short" => ("short", Arc::new(models::short()), None),
+        "category" => ("category", Arc::new(rtx_workloads::category_model()), None),
+        "storefront" => (
+            "storefront",
+            Arc::new(rtx_workloads::storefront_model()),
+            Some(rtx_workloads::storefront_demand()),
+        ),
+        "auction" => ("auction", scenarios::auction_scenario().transducer, None),
+        "inventory" => (
+            "inventory",
+            scenarios::inventory_scenario().transducer,
+            None,
+        ),
+        "escrow" => ("escrow", scenarios::escrow_scenario().transducer, None),
+        "fraud" => ("fraud", scenarios::fraud_scenario().transducer, None),
+        _ => return None,
+    };
+    Some(FrontModel {
+        name,
+        transducer,
+        demand,
+    })
 }
 
 /// The model names [`lookup_model`] serves.
@@ -181,27 +211,61 @@ fn parse_value(token: &str) -> Value {
 /// Renders an instance as a sorted `rel(v,…);rel(v,…)` facts spec (`-` when
 /// empty) — the reply format of `STEP`, and valid [`parse_facts`] input.
 pub fn render_instance(instance: &Instance) -> String {
-    let mut facts: Vec<String> = Vec::new();
-    for (name, relation) in instance.iter() {
-        for tuple in relation.iter() {
-            let values: Vec<String> = (0..relation.arity())
-                .map(|i| render_value(tuple.get(i).expect("arity-checked tuple")))
-                .collect();
-            facts.push(format!("{}({})", name.as_str(), values.join(",")));
-        }
-    }
-    if facts.is_empty() {
-        return "-".to_string();
-    }
-    facts.sort();
-    facts.join(";")
+    let mut out = String::new();
+    render_into(instance, &mut out);
+    out
 }
 
-fn render_value(value: &Value) -> String {
-    match value.as_int() {
-        Some(i) => i.to_string(),
-        None => value.as_str().unwrap_or_default().to_string(),
+/// Appends [`render_instance`]'s rendering of `instance` to `out`.  Facts
+/// are written in instance order, which is usually already the sorted
+/// order; only when it is not (integers sort numerically in a relation,
+/// textually on the wire) are they collected and sorted.
+fn render_into(instance: &Instance, out: &mut String) {
+    let start = out.len();
+    let mut previous = start;
+    let mut sorted = true;
+    for (name, relation) in instance.iter() {
+        for tuple in relation.iter() {
+            if out.len() > start {
+                out.push(';');
+            }
+            let fact = out.len();
+            render_fact(name.as_str(), tuple, out);
+            sorted &= fact == start || out[previous..fact - 1] <= out[fact..];
+            previous = fact;
+        }
     }
+    if out.len() == start {
+        out.push('-');
+    } else if !sorted {
+        out.truncate(start);
+        let mut facts: Vec<String> = Vec::new();
+        for (name, relation) in instance.iter() {
+            for tuple in relation.iter() {
+                let mut fact = String::new();
+                render_fact(name.as_str(), tuple, &mut fact);
+                facts.push(fact);
+            }
+        }
+        facts.sort();
+        out.push_str(&facts.join(";"));
+    }
+}
+
+fn render_fact(relation: &str, tuple: &Tuple, out: &mut String) {
+    out.push_str(relation);
+    out.push('(');
+    for (i, value) in tuple.values().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match value {
+            // Writing to a `String` cannot fail.
+            Value::Int(n) => _ = write!(out, "{n}"),
+            Value::Sym(symbol) => out.push_str(symbol.as_str()),
+        }
+    }
+    out.push(')');
 }
 
 /// Front-end server configuration.
@@ -226,27 +290,51 @@ impl Default for FrontConfig {
     }
 }
 
-/// A shard-worker command, carried over the bounded per-shard queue.
-enum Request {
+/// What a [`Job`] asks its session's shard worker to do.
+#[derive(Clone, Copy)]
+enum Verb {
+    /// `OPEN`, of the model at this index of the server's registry.
     Open {
-        session: String,
-        model: String,
+        model: usize,
         demanded: bool,
     },
-    /// One or more steps for one session — a `STEP` is a batch of one.
+    /// `STEP` (one step) or `BATCH`: the job's first `steps` lines.
     Steps {
-        session: String,
-        facts: Vec<String>,
         batch: bool,
     },
-    Close {
-        session: String,
-    },
+    Close,
 }
 
+/// A connection's one request slot, reused for every request: it carries a
+/// request to the session's shard worker and comes back, over the
+/// connection's own `sync_channel(1)`, holding the reply.
 struct Job {
-    request: Request,
-    reply: mpsc::Sender<Vec<String>>,
+    verb: Verb,
+    session: String,
+    /// Fact lines of a `STEP` or `BATCH`; only the first `steps` are this
+    /// request's (the rest are buffers kept from longer batches).
+    lines: Vec<String>,
+    steps: usize,
+    /// The reply: whole lines, each ending in `\n`, sent in one write.
+    reply: String,
+    /// The way back to the connection.
+    back: mpsc::SyncSender<Job>,
+}
+
+impl Job {
+    /// A fresh job and the receiver it comes back on.
+    fn new() -> (Job, mpsc::Receiver<Job>) {
+        let (back, returns) = mpsc::sync_channel(1);
+        let job = Job {
+            verb: Verb::Close,
+            session: String::new(),
+            lines: Vec::new(),
+            steps: 0,
+            reply: String::new(),
+            back,
+        };
+        (job, returns)
+    }
 }
 
 /// The line-protocol server: a [`ShardedRuntime`] fronted by one bounded
@@ -255,14 +343,16 @@ struct Job {
 pub struct FrontServer {
     listener: TcpListener,
     fleet: ShardedRuntime,
+    models: Arc<[FrontModel]>,
     queues: Vec<mpsc::SyncSender<Job>>,
     workers: Vec<thread::JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
 }
 
 impl FrontServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and spawns
-    /// the shard workers over a freshly resident [`combined_catalog`].
+    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), builds every
+    /// servable model once, and spawns the shard workers over a freshly
+    /// resident [`combined_catalog`].
     pub fn bind(addr: &str, config: FrontConfig) -> io::Result<FrontServer> {
         let listener = TcpListener::bind(addr)?;
         let fleet = ShardedRuntime::shared_with(
@@ -270,15 +360,20 @@ impl FrontServer {
             config.shards,
             config.parallelism,
         );
+        let models: Arc<[FrontModel]> = MODEL_NAMES
+            .iter()
+            .map(|name| lookup_model(name).expect("every listed model is servable"))
+            .collect();
         let mut queues = Vec::with_capacity(fleet.shard_count());
         let mut workers = Vec::with_capacity(fleet.shard_count());
         for shard in 0..fleet.shard_count() {
             let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
             let fleet = fleet.clone();
+            let models = Arc::clone(&models);
             workers.push(
                 thread::Builder::new()
                     .name(format!("rtx-front-shard-{shard}"))
-                    .spawn(move || shard_worker(fleet, rx))
+                    .spawn(move || shard_worker(fleet, models, rx))
                     .expect("spawn shard worker"),
             );
             queues.push(tx);
@@ -286,6 +381,7 @@ impl FrontServer {
         Ok(FrontServer {
             listener,
             fleet,
+            models,
             queues,
             workers,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -308,14 +404,18 @@ impl FrontServer {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let fleet = self.fleet.clone();
-            let queues = self.queues.clone();
-            let shutdown = Arc::clone(&self.shutdown);
+            let connection = Connection {
+                fleet: self.fleet.clone(),
+                models: Arc::clone(&self.models),
+                queues: self.queues.clone(),
+                shutdown: Arc::clone(&self.shutdown),
+                server_addr: addr,
+            };
             connections.push(
                 thread::Builder::new()
                     .name("rtx-front-conn".to_string())
                     .spawn(move || {
-                        let _ = serve_connection(stream, fleet, queues, shutdown, addr);
+                        let _ = connection.serve(stream);
                     })
                     .expect("spawn connection handler"),
             );
@@ -331,239 +431,282 @@ impl FrontServer {
     }
 }
 
-/// Handles one client connection: parse a command line, route it to the
-/// owning shard's queue (or answer directly for `HEALTH`/`SHUTDOWN`), relay
-/// the worker's reply lines.
-fn serve_connection(
-    stream: TcpStream,
+/// One line read by [`read_line_capped`].
+enum Line<'a> {
+    Text(&'a str),
+    TooLong,
+    End,
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] (plus its line end) into
+/// `raw`, never buffering more than that however long the line is.
+fn read_line_capped<'a>(
+    reader: &mut BufReader<TcpStream>,
+    raw: &'a mut Vec<u8>,
+) -> io::Result<Line<'a>> {
+    raw.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    let read = reader.by_ref().take(limit).read_until(b'\n', raw)?;
+    if read == 0 {
+        return Ok(Line::End);
+    }
+    if read as u64 == limit && raw.last() != Some(&b'\n') {
+        return Ok(Line::TooLong);
+    }
+    std::str::from_utf8(raw)
+        .map(Line::Text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// What a connection thread shares with the rest of the server.
+struct Connection {
     fleet: ShardedRuntime,
+    models: Arc<[FrontModel]>,
     queues: Vec<mpsc::SyncSender<Job>>,
     shutdown: Arc<AtomicBool>,
     server_addr: SocketAddr,
-) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
-        }
-        let command = line.trim();
-        if command.is_empty() {
-            continue;
-        }
-        let mut parts = command.splitn(3, ' ');
-        let verb = parts.next().unwrap_or_default().to_ascii_uppercase();
-        match verb.as_str() {
-            "HEALTH" => {
-                let health = fleet.health();
-                writeln!(
-                    writer,
+}
+
+impl Connection {
+    /// Handles one client connection: parse a command line, route it to the
+    /// owning shard's queue (or answer directly for `HEALTH`/`SHUTDOWN` and
+    /// malformed requests), write the reply in one write.
+    fn serve(&self, stream: TcpStream) -> io::Result<()> {
+        stream.set_nodelay(true)?;
+        let mut reader = BufReader::new(stream.try_clone()?);
+        let mut writer = stream;
+        let (mut job, mut returns) = Job::new();
+        let (mut raw, mut step_raw) = (Vec::new(), Vec::new());
+        loop {
+            let command = match read_line_capped(&mut reader, &mut raw)? {
+                Line::Text(line) => line.trim(),
+                Line::TooLong => {
+                    return refuse(
+                        &mut writer,
+                        format_args!("line longer than {MAX_LINE_BYTES} bytes"),
+                    )
+                }
+                Line::End => return Ok(()),
+            };
+            if command.is_empty() {
+                continue;
+            }
+            job.reply.clear();
+            let mut parts = command.splitn(3, ' ');
+            let verb = parts.next().unwrap_or_default();
+            let session = parts.next().unwrap_or_default();
+            let rest = parts.next().unwrap_or_default();
+            let is = |name: &str| verb.eq_ignore_ascii_case(name);
+            if is("HEALTH") {
+                let health = self.fleet.health();
+                _ = writeln!(
+                    job.reply,
                     "OK health active={} quarantined={} violations={} rejections={}",
                     health.active_sessions,
                     health.quarantined_sessions.len(),
                     health.violations,
                     health.rejections
-                )?;
-            }
-            "SHUTDOWN" => {
-                shutdown.store(true, Ordering::SeqCst);
-                writeln!(writer, "OK bye")?;
+                );
+            } else if is("SHUTDOWN") {
+                self.shutdown.store(true, Ordering::SeqCst);
+                writer.write_all(b"OK bye\n")?;
                 // Wake the accept loop so it observes the flag.
-                let _ = TcpStream::connect(server_addr);
+                let _ = TcpStream::connect(self.server_addr);
                 return Ok(());
-            }
-            "OPEN" => {
-                let session = parts.next().unwrap_or_default().to_string();
-                let rest = parts.next().unwrap_or_default();
+            } else if is("OPEN") {
                 let mut rest = rest.split_whitespace();
-                let model = rest.next().unwrap_or_default().to_string();
+                let model = rest.next().unwrap_or_default();
                 let demanded = rest.next() == Some("demand");
+                let index = self.models.iter().position(|m| m.name == model);
                 if session.is_empty() || model.is_empty() {
-                    writeln!(writer, "ERR usage: OPEN <session> <model> [demand]")?;
-                    continue;
-                }
-                let request = Request::Open {
-                    session,
-                    model,
-                    demanded,
-                };
-                dispatch(&fleet, &queues, request, &mut writer)?;
-            }
-            "STEP" => {
-                let session = parts.next().unwrap_or_default().to_string();
-                let facts = parts.next().unwrap_or("-").trim().to_string();
-                if session.is_empty() {
-                    writeln!(writer, "ERR usage: STEP <session> <facts>")?;
-                    continue;
-                }
-                let request = Request::Steps {
-                    session,
-                    facts: vec![facts],
-                    batch: false,
-                };
-                dispatch(&fleet, &queues, request, &mut writer)?;
-            }
-            "BATCH" => {
-                let session = parts.next().unwrap_or_default().to_string();
-                let count: usize = match parts.next().unwrap_or_default().trim().parse() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        writeln!(writer, "ERR usage: BATCH <session> <count>")?;
-                        continue;
+                    job.reply
+                        .push_str("ERR usage: OPEN <session> <model> [demand]\n");
+                } else if let Some(index) = index {
+                    if demanded && self.models[index].demand.is_none() {
+                        _ = writeln!(job.reply, "ERR model `{model}` defines no demand");
+                    } else {
+                        job.verb = Verb::Open {
+                            model: index,
+                            demanded,
+                        };
+                        job = self.dispatch(job, session, &mut returns);
                     }
-                };
-                let mut facts = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let mut step_line = String::new();
-                    if reader.read_line(&mut step_line)? == 0 {
-                        return Ok(());
+                } else {
+                    _ = writeln!(
+                        job.reply,
+                        "ERR unknown model `{model}` (known: {})",
+                        MODEL_NAMES.join(", ")
+                    );
+                }
+            } else if is("STEP") {
+                if session.is_empty() {
+                    job.reply.push_str("ERR usage: STEP <session> <facts>\n");
+                } else {
+                    set_line(&mut job, 0, rest.trim());
+                    job.verb = Verb::Steps { batch: false };
+                    job.steps = 1;
+                    job = self.dispatch(job, session, &mut returns);
+                }
+            } else if is("BATCH") {
+                match rest.trim().parse::<usize>() {
+                    Ok(count) if count > MAX_BATCH_STEPS => {
+                        return refuse(
+                            &mut writer,
+                            format_args!(
+                                "batch of {count} steps exceeds the {MAX_BATCH_STEPS}-step limit"
+                            ),
+                        );
                     }
-                    facts.push(step_line.trim().to_string());
+                    Ok(count) => {
+                        for i in 0..count {
+                            match read_line_capped(&mut reader, &mut step_raw)? {
+                                Line::Text(facts) => set_line(&mut job, i, facts.trim()),
+                                Line::TooLong => {
+                                    return refuse(
+                                        &mut writer,
+                                        format_args!("line longer than {MAX_LINE_BYTES} bytes"),
+                                    )
+                                }
+                                Line::End => return Ok(()),
+                            }
+                        }
+                        if session.is_empty() {
+                            job.reply.push_str("ERR usage: BATCH <session> <count>\n");
+                        } else {
+                            job.verb = Verb::Steps { batch: true };
+                            job.steps = count;
+                            job = self.dispatch(job, session, &mut returns);
+                        }
+                    }
+                    Err(_) => job.reply.push_str("ERR usage: BATCH <session> <count>\n"),
                 }
+            } else if is("CLOSE") {
                 if session.is_empty() {
-                    writeln!(writer, "ERR usage: BATCH <session> <count>")?;
-                    continue;
+                    job.reply.push_str("ERR usage: CLOSE <session>\n");
+                } else {
+                    job.verb = Verb::Close;
+                    job = self.dispatch(job, session, &mut returns);
                 }
-                let request = Request::Steps {
-                    session,
-                    facts,
-                    batch: true,
-                };
-                dispatch(&fleet, &queues, request, &mut writer)?;
+            } else {
+                let verb = verb.to_ascii_uppercase();
+                _ = writeln!(job.reply, "ERR unknown command `{verb}`");
             }
-            "CLOSE" => {
-                let session = parts.next().unwrap_or_default().to_string();
-                if session.is_empty() {
-                    writeln!(writer, "ERR usage: CLOSE <session>")?;
-                    continue;
-                }
-                dispatch(&fleet, &queues, Request::Close { session }, &mut writer)?;
+            writer.write_all(job.reply.as_bytes())?;
+        }
+    }
+
+    /// Routes a job to its session's home shard with **explicit
+    /// backpressure**: a full shard queue answers `BUSY` right away instead
+    /// of blocking the connection or queueing without bound.  Returns the
+    /// job holding the reply.
+    fn dispatch(&self, mut job: Job, session: &str, returns: &mut mpsc::Receiver<Job>) -> Job {
+        job.session.clear();
+        job.session.push_str(session);
+        let shard = self.fleet.shard_of(session);
+        match self.queues[shard].try_send(job) {
+            Ok(()) => returns.recv().unwrap_or_else(|_| {
+                // The worker dropped the job: start over with a new one.
+                let (mut job, fresh) = Job::new();
+                *returns = fresh;
+                _ = writeln!(job.reply, "ERR shard {shard} worker is gone");
+                job
+            }),
+            Err(mpsc::TrySendError::Full(mut job)) => {
+                _ = writeln!(job.reply, "BUSY shard {shard} queue is full, retry");
+                job
             }
-            _ => {
-                writeln!(writer, "ERR unknown command `{verb}`")?;
+            Err(mpsc::TrySendError::Disconnected(mut job)) => {
+                _ = writeln!(job.reply, "ERR shard {shard} worker is gone");
+                job
             }
         }
     }
 }
 
-/// Routes a request to its session's home shard with **explicit
-/// backpressure**: a full shard queue answers `BUSY` right away instead of
-/// blocking the connection or queueing without bound.
-fn dispatch(
-    fleet: &ShardedRuntime,
-    queues: &[mpsc::SyncSender<Job>],
-    request: Request,
-    writer: &mut TcpStream,
-) -> io::Result<()> {
-    let session = match &request {
-        Request::Open { session, .. } => session,
-        Request::Steps { session, .. } => session,
-        Request::Close { session } => session,
-    };
-    let shard = fleet.shard_of(session);
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job {
-        request,
-        reply: reply_tx,
-    };
-    match queues[shard].try_send(job) {
-        Ok(()) => match reply_rx.recv() {
-            Ok(lines) => {
-                for reply in lines {
-                    writeln!(writer, "{reply}")?;
-                }
-                Ok(())
-            }
-            Err(_) => {
-                writeln!(writer, "ERR shard {shard} worker is gone")
-            }
-        },
-        Err(mpsc::TrySendError::Full(_)) => {
-            writeln!(writer, "BUSY shard {shard} queue is full, retry")
-        }
-        Err(mpsc::TrySendError::Disconnected(_)) => {
-            writeln!(writer, "ERR shard {shard} worker is gone")
-        }
+/// Stores `facts` as the job's `i`-th step line, reusing its buffer.
+fn set_line(job: &mut Job, i: usize, facts: &str) {
+    if i == job.lines.len() {
+        job.lines.push(String::new());
     }
+    job.lines[i].clear();
+    job.lines[i].push_str(facts);
+}
+
+/// Answers an over-limit request with `ERR <detail>` and ends the
+/// connection: the rest of its stream can no longer be parsed.
+fn refuse(writer: &mut TcpStream, detail: std::fmt::Arguments) -> io::Result<()> {
+    writer.write_all(format!("ERR {detail}; closing the connection\n").as_bytes())
 }
 
 /// One shard's worker loop: owns every session routed to this shard, and is
 /// the only thread that ever steps them.
-fn shard_worker(fleet: ShardedRuntime, jobs: mpsc::Receiver<Job>) {
+fn shard_worker(fleet: ShardedRuntime, models: Arc<[FrontModel]>, jobs: mpsc::Receiver<Job>) {
     let mut sessions: HashMap<String, ShardedSession> = HashMap::new();
-    while let Ok(job) = jobs.recv() {
-        let reply = execute(&fleet, &mut sessions, job.request);
-        let _ = job.reply.send(reply);
+    while let Ok(mut job) = jobs.recv() {
+        execute(&fleet, &models, &mut sessions, &mut job);
+        let back = job.back.clone();
+        let _ = back.send(job);
     }
 }
 
+/// Runs one job, appending its reply lines to `job.reply`.
 fn execute(
     fleet: &ShardedRuntime,
+    models: &[FrontModel],
     sessions: &mut HashMap<String, ShardedSession>,
-    request: Request,
-) -> Vec<String> {
-    match request {
-        Request::Open {
-            session,
-            model,
-            demanded,
-        } => {
-            let Some(front_model) = lookup_model(&model) else {
-                return vec![format!(
-                    "ERR unknown model `{model}` (known: {})",
-                    MODEL_NAMES.join(", ")
-                )];
-            };
-            let opened = if demanded {
-                let Some(demand) = front_model.demand else {
-                    return vec![format!("ERR model `{model}` defines no demand")];
-                };
-                fleet.open_session_with_demand(session.clone(), front_model.transducer, demand)
-            } else {
-                fleet.open_session(session.clone(), front_model.transducer)
+    job: &mut Job,
+) {
+    let Job {
+        verb,
+        session,
+        lines,
+        steps,
+        reply,
+        ..
+    } = job;
+    match *verb {
+        Verb::Open { model, demanded } => {
+            let model = &models[model];
+            let transducer = Arc::clone(&model.transducer);
+            let opened = match &model.demand {
+                Some(demand) if demanded => {
+                    fleet.open_session_with_demand(session.clone(), transducer, demand.clone())
+                }
+                _ => fleet.open_session(session.clone(), transducer),
             };
             match opened {
                 Ok(opened) => {
-                    let shard = opened.shard();
+                    _ = writeln!(reply, "OK open {session} shard={}", opened.shard());
                     sessions.insert(session.clone(), opened);
-                    vec![format!("OK open {session} shard={shard}")]
                 }
-                Err(e) => vec![format!("ERR {e}")],
+                Err(e) => _ = writeln!(reply, "ERR {e}"),
             }
         }
-        Request::Steps {
-            session,
-            facts,
-            batch,
-        } => {
-            let Some(open) = sessions.get_mut(&session) else {
-                return vec![format!("ERR no open session `{session}` on this shard")];
+        Verb::Steps { batch } => {
+            let Some(open) = sessions.get_mut(session.as_str()) else {
+                _ = writeln!(reply, "ERR no open session `{session}` on this shard");
+                return;
             };
-            let total = facts.len();
-            let mut lines = Vec::with_capacity(total + usize::from(batch));
-            for spec in facts {
-                let input = match parse_facts(&spec, open.transducer().schema().input()) {
-                    Ok(input) => input,
-                    Err(detail) => {
-                        lines.push(format!("ERR {detail}"));
-                        continue;
+            for (i, spec) in lines[..*steps].iter().enumerate() {
+                let stepped = parse_facts(spec, open.transducer().schema().input())
+                    .and_then(|input| open.step(&input).map_err(|e| e.to_string()));
+                match stepped {
+                    Ok(output) => {
+                        reply.push_str("OUT ");
+                        render_into(&output, reply);
+                        reply.push('\n');
                     }
-                };
-                match open.step(&input) {
-                    Ok(output) => lines.push(format!("OUT {}", render_instance(&output))),
-                    Err(e) => lines.push(format!("ERR {e}")),
+                    Err(detail) if batch => _ = writeln!(reply, "ERR step {i}: {detail}"),
+                    Err(detail) => _ = writeln!(reply, "ERR {detail}"),
                 }
             }
             if batch {
-                lines.push(format!("OK batch {total}"));
+                _ = writeln!(reply, "OK batch {steps}");
             }
-            lines
         }
-        Request::Close { session } => match sessions.remove(&session) {
-            Some(_) => vec![format!("OK close {session}")],
-            None => vec![format!("ERR no open session `{session}` on this shard")],
+        Verb::Close => match sessions.remove(session.as_str()) {
+            Some(_) => _ = writeln!(reply, "OK close {session}"),
+            None => _ = writeln!(reply, "ERR no open session `{session}` on this shard"),
         },
     }
 }
@@ -586,25 +729,33 @@ where
         .map_err(|e| format!("{flag}: invalid value `{value}`: {e}"))
 }
 
-/// A blocking line-protocol client for [`FrontServer`].
+/// A blocking line-protocol client for [`FrontServer`].  Like the server it
+/// sets `TCP_NODELAY` and sends each request, a whole `BATCH` included, in
+/// one write from a reused buffer.
 pub struct FrontClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    request: String,
 }
 
 impl FrontClient {
     /// Connects to a front-end server.
     pub fn connect(addr: SocketAddr) -> io::Result<FrontClient> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(FrontClient {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
+            request: String::new(),
         })
     }
 
     /// Sends one command line and reads one reply line.
     pub fn request(&mut self, command: &str) -> io::Result<String> {
-        writeln!(self.writer, "{command}")?;
+        self.request.clear();
+        self.request.push_str(command);
+        self.request.push('\n');
+        self.writer.write_all(self.request.as_bytes())?;
         self.read_reply()
     }
 
@@ -621,16 +772,20 @@ impl FrontClient {
     }
 
     /// Sends a `BATCH` header plus its step lines, returning every reply
-    /// line up to and including the terminating `OK`/`ERR`/`BUSY`.
+    /// line up to and including the terminating `OK batch`, `BUSY` or `ERR`
+    /// (a failing step's `ERR step <i>: …` does not end the batch).
     pub fn batch(&mut self, session: &str, steps: &[String]) -> io::Result<Vec<String>> {
-        writeln!(self.writer, "BATCH {session} {}", steps.len())?;
+        self.request.clear();
+        _ = writeln!(self.request, "BATCH {session} {}", steps.len());
         for step in steps {
-            writeln!(self.writer, "{step}")?;
+            self.request.push_str(step);
+            self.request.push('\n');
         }
+        self.writer.write_all(self.request.as_bytes())?;
         let mut replies = Vec::new();
         loop {
             let reply = self.read_reply()?;
-            let done = !reply.starts_with("OUT");
+            let done = !(reply.starts_with("OUT") || reply.starts_with("ERR step "));
             replies.push(reply);
             if done {
                 return Ok(replies);
@@ -717,6 +872,19 @@ mod tests {
             .unwrap();
         let rendered = render_instance(&inst);
         assert_eq!(rendered, "order(time);pay(time,855)");
+        assert_eq!(parse_facts(&rendered, &schema).unwrap(), inst);
+
+        // Integers order numerically in a relation but textually on the
+        // wire: 9 < 10, yet `pay(time,10)` renders first.
+        inst.insert("pay", Tuple::new(vec![Value::str("time"), Value::int(9)]))
+            .unwrap();
+        inst.insert("pay", Tuple::new(vec![Value::str("time"), Value::int(10)]))
+            .unwrap();
+        let rendered = render_instance(&inst);
+        assert_eq!(
+            rendered,
+            "order(time);pay(time,10);pay(time,855);pay(time,9)"
+        );
         assert_eq!(parse_facts(&rendered, &schema).unwrap(), inst);
 
         let empty = Instance::empty(&schema);
@@ -820,6 +988,67 @@ mod tests {
             assert_eq!(got, format!("OUT {expected}"));
         }
         client.request_retrying("SHUTDOWN").unwrap();
+        serving.join().unwrap().unwrap();
+    }
+
+    fn serve_in_background() -> (SocketAddr, thread::JoinHandle<io::Result<()>>) {
+        let server = FrontServer::bind("127.0.0.1:0", FrontConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        (addr, thread::spawn(move || server.serve()))
+    }
+
+    #[test]
+    fn a_failing_batch_step_keeps_the_client_in_sync() {
+        // On the parent, the client stopped reading at the first non-`OUT`
+        // line, so the next `HEALTH` read this batch's third reply.
+        let (addr, serving) = serve_in_background();
+        let mut client = FrontClient::connect(addr).unwrap();
+        client.request_retrying("OPEN b short").unwrap();
+        let steps = ["order(time)", "order(", "order(newsweek)"].map(str::to_string);
+        let replies = client.batch("b", &steps).unwrap();
+        assert_eq!(replies.len(), 4, "{replies:?}");
+        assert_eq!(replies[0], "OUT sendbill(time,855)");
+        assert!(
+            replies[1].starts_with("ERR step 1: malformed fact"),
+            "{replies:?}"
+        );
+        assert_eq!(replies[2], "OUT sendbill(newsweek,845)");
+        assert_eq!(replies[3], "OK batch 3");
+        let health = client.request("HEALTH").unwrap();
+        assert!(health.starts_with("OK health active=1 "), "{health}");
+        assert_eq!(client.request("CLOSE b").unwrap(), "OK close b");
+        client.request("SHUTDOWN").unwrap();
+        serving.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn oversized_requests_close_only_their_own_connection() {
+        let (addr, serving) = serve_in_background();
+        let mut keeper = FrontClient::connect(addr).unwrap();
+        keeper.request_retrying("OPEN keep short").unwrap();
+        let oversized = "x".repeat(MAX_LINE_BYTES + 1);
+        let attacks = [
+            (
+                "BATCH keep 100000000000\n".to_string(),
+                "ERR batch of 100000000000 steps",
+            ),
+            (oversized.clone(), "ERR line longer than 65536 bytes"),
+            (format!("BATCH keep 1\n{oversized}"), "ERR line longer than"),
+        ];
+        for (request, refusal) in attacks {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(request.as_bytes()).unwrap();
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).unwrap();
+            assert!(reply.starts_with(refusal), "{reply}");
+            assert!(reply.ends_with("; closing the connection\n"), "{reply}");
+
+            // A fresh connection still steps the session opened earlier.
+            let mut fresh = FrontClient::connect(addr).unwrap();
+            let out = fresh.request_retrying("STEP keep order(time)").unwrap();
+            assert_eq!(out, "OUT sendbill(time,855)");
+        }
+        keeper.request("SHUTDOWN").unwrap();
         serving.join().unwrap().unwrap();
     }
 }

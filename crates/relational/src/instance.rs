@@ -3,7 +3,7 @@
 use crate::{RelationName, RelationalError, Schema, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A relation instance: a finite set of tuples, all of the same arity.
 ///
@@ -21,11 +21,14 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// Creates an empty relation of the given arity.
+    /// Creates an empty relation of the given arity.  Allocates nothing:
+    /// every empty relation starts out sharing one process-wide empty set,
+    /// which copy-on-write replaces at the first insert.
     pub fn empty(arity: usize) -> Self {
+        static EMPTY: OnceLock<Arc<BTreeSet<Tuple>>> = OnceLock::new();
         Relation {
             arity,
-            tuples: Arc::new(BTreeSet::new()),
+            tuples: Arc::clone(EMPTY.get_or_init(Arc::default)),
         }
     }
 

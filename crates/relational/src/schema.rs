@@ -3,18 +3,20 @@
 use crate::RelationalError;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The name of a relation.
 ///
 /// Names are case-sensitive, compared and ordered as strings.  The paper uses
 /// names such as `order`, `pay`, `past-order`, `sendbill`; hyphens are legal.
+/// The text is shared, so cloning a name allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RelationName(String);
+pub struct RelationName(Arc<str>);
 
 impl RelationName {
     /// Creates a relation name.
     pub fn new(name: impl Into<String>) -> Self {
-        RelationName(name.into())
+        RelationName(Arc::from(name.into()))
     }
 
     /// The textual name.
@@ -26,7 +28,7 @@ impl RelationName {
     /// an input relation: `past-R` for input `R` (paper, §3.1, Definition
     /// item 1: `state = { past-R | R ∈ in }`).
     pub fn past(&self) -> RelationName {
-        RelationName(format!("past-{}", self.0))
+        RelationName::new(format!("past-{}", self.0))
     }
 
     /// If this name is of the form `past-R`, returns `R`.
@@ -43,7 +45,7 @@ impl fmt::Display for RelationName {
 
 impl From<&str> for RelationName {
     fn from(s: &str) -> Self {
-        RelationName::new(s)
+        RelationName(Arc::from(s))
     }
 }
 

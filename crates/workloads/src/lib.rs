@@ -3,10 +3,9 @@
 //! Synthetic workload generators for the benchmark harness and the
 //! integration tests: product catalogs, customer input sequences, audited
 //! logs (valid and tampered), and scalable families of Spocus business
-//! models.  The paper reports no measured workloads, so these generators are
-//! the substitution documented in `DESIGN.md`: they exercise the same code
-//! paths (runs, log validation, reachability, containment) at controllable
-//! sizes.
+//! models.  The paper reports no measured workloads, so these generators
+//! stand in for them: they exercise the same code paths (runs, log
+//! validation, reachability, containment) at controllable sizes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
