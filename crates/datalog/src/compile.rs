@@ -43,9 +43,12 @@
 //! Evaluation is **data-parallel**: the paper's set-at-a-time semantics mean
 //! every rule of a stratum reads the *previous* fixpoint round, so rules of a
 //! recursive round — and waves of head-independent rules in a non-recursive
-//! stratum, and chunks of one rule's outer-atom candidates — fan out to the
+//! stratum, and chunks of one rule's outer candidates — fan out to the
 //! scoped worker pool of [`crate::pool`] when the [`Parallelism`] policy and
-//! candidate counts warrant it.
+//! candidate counts warrant it.  The outer candidates are the level-0 join
+//! tuples, or the `(level-0, level-1)` tuple pairs when level 0 is too small
+//! to split: a catalog scan behind a one-tuple input guard
+//! (`offer(P,Y) :- refresh(R), price(P,Y), …`) splits on `price`.
 //! Per-pass sinks are merged in the fixed `(stratum, rule, pass, chunk)`
 //! order, so parallel evaluation is bit-identical to sequential, including
 //! the [`EvalStats`] counters (see the [`crate::pool`] docs for the
@@ -606,7 +609,7 @@ impl CompiledProgram {
                     stats.rule_applications += 1;
                     stats.tuples_derived += sink.len() as u64;
                 }
-                ctx.insert_derived(&rule.head_relation, sink.drain(..))?;
+                ctx.insert_derived(&rule.head_relation, sink)?;
             }
             budget.check(stats)?;
             start = end;
@@ -864,16 +867,13 @@ impl<'x> EvalContext<'x> {
             .retain(|(space, _, _), _| !matches!(space, Space::Derived));
     }
 
+    /// Drains a rule's sink into the derived instance in one bulk build.
     fn insert_derived(
         &mut self,
         relation: &RelationName,
-        tuples: impl Iterator<Item = Tuple>,
+        tuples: &mut Vec<Tuple>,
     ) -> Result<(), DatalogError> {
-        let mut changed = false;
-        for tuple in tuples {
-            changed |= self.derived.insert(relation.clone(), tuple)?;
-        }
-        if changed {
+        if self.derived.insert_bulk(relation, tuples)? > 0 {
             self.invalidate_derived();
         }
         Ok(())
@@ -982,11 +982,15 @@ impl<'x> EvalContext<'x> {
     }
 
     /// Phase 2 (immutable): assembles the atom plans, negation sources and —
-    /// when a cheap upper bound on the level-0 candidate count reaches
+    /// when a cheap upper bound on the candidate count reaches
     /// `collect_above` — the collected outer candidates for parallel
-    /// chunking (passes under the bound keep `outer: None` and join lazily
-    /// on the calling thread, so the multi-core default never materialises
-    /// candidates for passes the threshold keeps inline).  The space
+    /// chunking.  The candidates are the level-0 tuples when level 0 alone
+    /// reaches the bound, else the `(level-0, level-1)` pairs when the
+    /// product of the two levels' bounds does.  Passes under the bound keep
+    /// `outer: None` and join lazily on the calling thread, so the
+    /// multi-core default never materialises candidates for passes the
+    /// threshold keeps inline, and a sequential policy (bound `usize::MAX`)
+    /// never collects at all.  The space
     /// decision is shared with phase 1 (`probe_space`), so every index
     /// looked up here was ensured by [`Self::ensure_pass_indexes`].  Returns
     /// `None` if some atom resolves to an empty relation (the pass derives
@@ -1024,8 +1028,19 @@ impl<'x> EvalContext<'x> {
             .iter()
             .map(|neg| self.negation_sources(&neg.relation))
             .collect();
-        let outer = match plans.first() {
-            Some(plan) if outer_estimate(plan) >= collect_above => Some(collect_outer(rule, plan)?),
+        let outer = match plans.as_slice() {
+            [first, ..] if outer_estimate(first) >= collect_above => {
+                // No slot is bound before level 0: its key terms are
+                // constants.
+                let regs = vec![None; rule.n_slots];
+                Some(Outer::Level0(collect_level(rule, first, &regs)?))
+            }
+            [first, second, ..]
+                if outer_estimate(first).saturating_mul(outer_estimate(second))
+                    >= collect_above =>
+            {
+                Some(Outer::Level1(collect_pairs(rule, first, second)?))
+            }
             _ => None,
         };
         Ok(Some(PreparedPass {
@@ -1119,17 +1134,17 @@ impl<'x> EvalContext<'x> {
 }
 
 /// One rule pass, fully planned against a frozen [`EvalContext`]: the atom
-/// plans, the resolved negation sources, and the level-0 (outer-atom)
-/// candidate tuples in iteration order.  Everything is borrowed immutably,
-/// so prepared passes can be executed from worker threads.
+/// plans, the resolved negation sources, and the outer candidates in
+/// iteration order.  Everything is borrowed immutably, so prepared passes
+/// can be executed from worker threads.
 struct PreparedPass<'x> {
     rule: &'x CompiledRule,
     /// Empty iff the rule has no positive atoms (a fact rule): the pass then
     /// runs the leaf checks exactly once.
     plans: Vec<AtomPlan<'x>>,
-    /// The level-0 candidates, collected only when the pass may be chunked
+    /// The outer candidates, collected only when the pass may be chunked
     /// across workers; `None` on the sequential path, which joins lazily.
-    outer: Option<Vec<&'x Tuple>>,
+    outer: Option<Outer<'x>>,
     negations: Vec<Vec<&'x Relation>>,
 }
 
@@ -1137,7 +1152,27 @@ impl PreparedPass<'_> {
     /// The scheduling cost of the pass: its collected outer candidate count
     /// (0 for passes below the collect bound, which always run inline).
     fn cost(&self) -> usize {
-        self.outer.as_ref().map_or(0, Vec::len)
+        self.outer.as_ref().map_or(0, Outer::len)
+    }
+}
+
+/// The candidates a pass is chunked over, in the order the sequential join
+/// visits them.
+enum Outer<'x> {
+    /// Level-0 tuples.
+    Level0(Vec<&'x Tuple>),
+    /// `(level-0, level-1)` tuple pairs: the split descends one level when
+    /// level 0 is too small to split (a one-tuple input guard such as
+    /// `refresh(R)` in front of a catalog scan).
+    Level1(Vec<(&'x Tuple, &'x Tuple)>),
+}
+
+impl Outer<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Outer::Level0(tuples) => tuples.len(),
+            Outer::Level1(pairs) => pairs.len(),
+        }
     }
 }
 
@@ -1166,8 +1201,8 @@ fn collect_bound(parallelism: Parallelism, region_passes: usize) -> usize {
     }
 }
 
-/// A cheap upper bound on a plan's level-0 candidate count (the indexed or
-/// scanned relation's size), used to decide whether collecting the
+/// A cheap upper bound on a plan's candidate count under any bindings (the
+/// indexed or scanned relation's size), used to decide whether collecting the
 /// candidates for chunking can pay off.  Overshooting is harmless: the
 /// collection itself costs only the *actual* candidates (probe slice or
 /// prefix range), or a scan the lazy join would perform anyway.
@@ -1192,19 +1227,17 @@ fn plan_atom<'x>(plan: &AtomPlan<'x>) -> &'x CompiledAtom {
     }
 }
 
-/// Collects the level-0 candidate tuples of a pass, in the exact order the
-/// sequential join would visit them.  Level-0 key terms are always constants
-/// (no slot is bound before the first atom), so the probe key needs no
-/// register frame.
-fn collect_outer<'x>(
+/// Collects the candidate tuples of one join level under the bindings in
+/// `regs`, in the exact order the sequential join would visit them.
+fn collect_level<'x>(
     rule: &CompiledRule,
     plan: &AtomPlan<'x>,
+    regs: &[Option<Value>],
 ) -> Result<Vec<&'x Tuple>, DatalogError> {
-    let regs: Vec<Option<Value>> = vec![None; rule.n_slots];
     let key_of = |atom: &CompiledAtom| -> Result<ValueVec, DatalogError> {
         let mut key = ValueVec::with_capacity(atom.key_terms.len());
         for term in &atom.key_terms {
-            key.push(*value_of(rule, term, &regs)?);
+            key.push(*value_of(rule, term, regs)?);
         }
         Ok(key)
     };
@@ -1232,32 +1265,55 @@ fn collect_outer<'x>(
     })
 }
 
+/// Collects the `(level-0, level-1)` candidate pairs of a pass: each level-0
+/// candidate that binds is followed by the level-1 candidates under its
+/// bindings, so the pairs come out in sequential join order.
+fn collect_pairs<'x>(
+    rule: &CompiledRule,
+    first: &AtomPlan<'x>,
+    second: &AtomPlan<'x>,
+) -> Result<Vec<(&'x Tuple, &'x Tuple)>, DatalogError> {
+    let atom = plan_atom(first);
+    let mut regs: Vec<Option<Value>> = vec![None; rule.n_slots];
+    let mut pairs = Vec::new();
+    for outer in collect_level(rule, first, &regs)? {
+        if bind(atom, outer, &mut regs) {
+            for inner in collect_level(rule, second, &regs)? {
+                pairs.push((outer, inner));
+            }
+        }
+        unbind(atom, &mut regs);
+    }
+    Ok(pairs)
+}
+
 /// Joins one contiguous range of a prepared pass's outer candidates into
 /// `sink` — the unit of parallel work.  Running the full range reproduces
 /// the sequential pass exactly (candidates are collected in join order).
 fn run_prepared(
     pass: &PreparedPass<'_>,
-    outer: &[&Tuple],
+    outer: &Outer<'_>,
     range: std::ops::Range<usize>,
     sink: &mut Vec<Tuple>,
 ) -> Result<(), DatalogError> {
-    let mut regs: Vec<Option<Value>> = vec![None; pass.rule.n_slots];
-    if pass.plans.is_empty() {
-        // No positive atoms: a single leaf materialisation.
-        return join(pass.rule, &pass.plans, &pass.negations, 0, &mut regs, sink);
-    }
-    let atom = plan_atom(&pass.plans[0]);
-    for &tuple in &outer[range] {
-        step_tuple(
-            pass.rule,
-            &pass.plans,
-            &pass.negations,
-            0,
-            atom,
-            tuple,
-            &mut regs,
-            sink,
-        )?;
+    let (rule, plans, negations) = (pass.rule, &pass.plans, &pass.negations);
+    let mut regs: Vec<Option<Value>> = vec![None; rule.n_slots];
+    let first = plan_atom(&plans[0]);
+    match outer {
+        Outer::Level0(tuples) => {
+            for &tuple in &tuples[range] {
+                step_tuple(rule, plans, negations, 0, first, tuple, &mut regs, sink)?;
+            }
+        }
+        Outer::Level1(pairs) => {
+            let second = plan_atom(&plans[1]);
+            for &(outer, tuple) in &pairs[range] {
+                if bind(first, outer, &mut regs) {
+                    step_tuple(rule, plans, negations, 1, second, tuple, &mut regs, sink)?;
+                }
+                unbind(first, &mut regs);
+            }
+        }
     }
     Ok(())
 }
@@ -1279,38 +1335,12 @@ fn execute_passes(
     sinks: &mut [Vec<Tuple>],
 ) -> Result<(), DatalogError> {
     debug_assert_eq!(passes.len(), sinks.len());
-    // Only passes whose candidates were collected (estimate cleared the
-    // collect bound) are candidates for chunking; everything else — tiny
-    // passes, leaf-only fact rules — runs inline on the calling thread.
-    // Each pass owns its sink, so inline-vs-pooled placement cannot change
-    // any sink's contents.
-    let total: usize = passes.iter().flatten().map(PreparedPass::cost).sum();
-    let workers = parallelism.worker_count();
-    let engage = workers > 1 && total >= parallelism.threshold().max(2);
-
-    let mut jobs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-    if engage {
-        // Chunk the outer candidates so each worker sees several chunks
-        // (work sharing keeps stragglers from idling the rest).
-        let chunk = total.div_ceil(workers * 4).max(1);
-        for (slot, pass) in passes.iter().enumerate() {
-            let Some(outer) = pass.as_ref().and_then(|p| p.outer.as_deref()) else {
-                continue;
-            };
-            let mut lo = 0;
-            while lo < outer.len() {
-                let hi = (lo + chunk).min(outer.len());
-                jobs.push((slot, lo..hi));
-                lo = hi;
-            }
-        }
-    }
-
+    let jobs = pool_jobs(passes, parallelism);
     if jobs.len() > 1 {
-        let results = Pool::new(workers).run(jobs.len(), |k| {
+        let results = Pool::new(parallelism.worker_count()).run(jobs.len(), |k| {
             let (slot, ref range) = jobs[k];
             let pass = passes[slot].as_ref().expect("job slots hold passes");
-            let outer = pass.outer.as_deref().expect("job passes are collected");
+            let outer = pass.outer.as_ref().expect("job passes are collected");
             let mut sink = Vec::new();
             run_prepared(pass, outer, range.clone(), &mut sink).map(|()| sink)
         });
@@ -1335,6 +1365,41 @@ fn execute_passes(
         }
     }
     Ok(())
+}
+
+/// The `(pass, candidate range)` jobs a slate of passes fans out as: none
+/// below the parallelism threshold, else each collected pass's candidates in
+/// contiguous chunks, pass-major.
+fn pool_jobs(
+    passes: &[Option<PreparedPass<'_>>],
+    parallelism: Parallelism,
+) -> Vec<(usize, std::ops::Range<usize>)> {
+    // Only passes whose candidates were collected (estimate cleared the
+    // collect bound) are candidates for chunking; everything else — tiny
+    // passes, leaf-only fact rules — runs inline on the calling thread.
+    // Each pass owns its sink, so inline-vs-pooled placement cannot change
+    // any sink's contents.
+    let total: usize = passes.iter().flatten().map(PreparedPass::cost).sum();
+    let workers = parallelism.worker_count();
+    let mut jobs = Vec::new();
+    if workers <= 1 || total < parallelism.threshold().max(2) {
+        return jobs;
+    }
+    // Chunk the outer candidates so each worker sees several chunks (work
+    // sharing keeps stragglers from idling the rest).
+    let chunk = total.div_ceil(workers * 4).max(1);
+    for (slot, pass) in passes.iter().enumerate() {
+        let Some(outer) = pass.as_ref().and_then(|p| p.outer.as_ref()) else {
+            continue;
+        };
+        let mut lo = 0;
+        while lo < outer.len() {
+            let hi = (lo + chunk).min(outer.len());
+            jobs.push((slot, lo..hi));
+            lo = hi;
+        }
+    }
+    jobs
 }
 
 /// Recursive indexed join over the compiled atoms; at the leaf, negations and
@@ -1428,26 +1493,36 @@ fn step_tuple(
     regs: &mut Vec<Option<Value>>,
     sink: &mut Vec<Tuple>,
 ) -> Result<(), DatalogError> {
+    let result = if bind(atom, tuple, regs) {
+        join(rule, plans, negations, level + 1, regs, sink)
+    } else {
+        Ok(())
+    };
+    unbind(atom, regs);
+    result
+}
+
+/// Binds an atom's write slots from `tuple`, then verifies its check
+/// columns; false if the tuple does not match the atom.  The caller unbinds
+/// either way.
+fn bind(atom: &CompiledAtom, tuple: &Tuple, regs: &mut [Option<Value>]) -> bool {
     if tuple.arity() != atom.arity {
-        return Ok(());
+        return false;
     }
     let values = tuple.values();
     for &(col, slot) in &atom.writes {
         regs[slot] = Some(values[col]);
     }
-    let ok = atom
-        .checks
+    atom.checks
         .iter()
-        .all(|&(col, slot)| regs[slot].as_ref() == Some(&values[col]));
-    let result = if ok {
-        join(rule, plans, negations, level + 1, regs, sink)
-    } else {
-        Ok(())
-    };
+        .all(|&(col, slot)| regs[slot].as_ref() == Some(&values[col]))
+}
+
+/// Clears the slots an atom binds.
+fn unbind(atom: &CompiledAtom, regs: &mut [Option<Value>]) {
     for &(_, slot) in &atom.writes {
         regs[slot] = None;
     }
-    result
 }
 
 fn value_of<'r>(
@@ -1980,6 +2055,43 @@ mod tests {
         let (out, _) = compiled.evaluate(&[&a, &b]).unwrap();
         // negation sees every source: r(x) holds, so p is empty
         assert!(out.relation("p").unwrap().is_empty());
+    }
+
+    /// The `offer` shape: a one-tuple input guard sharing no variable with
+    /// the catalog scan behind it.  Level 0 is too small to split, so the
+    /// pass collects `(guard, price)` pairs and fans out as several pool
+    /// jobs; the result and the stats match the sequential pass.
+    #[test]
+    fn a_one_tuple_guard_pass_splits_on_level_one() {
+        let program =
+            parse_program("offer(P,Y) :- refresh(R), price(P,Y), NOT browsed(P).").unwrap();
+        let compiled = CompiledProgram::compile(&program).unwrap();
+        let rule = &compiled.rules()[0];
+        assert_eq!(rule.atom_order(), vec![0, 1], "the guard drives the join");
+        let mut db = edb(&[("price", 2), ("browsed", 1)], &[("browsed", &["p3"])]);
+        for i in 0..64 {
+            db.insert("price", Tuple::from_iter([format!("p{i}"), format!("{i}")]))
+                .unwrap();
+        }
+        let tick = edb(&[("refresh", 1)], &[("refresh", &["t0"])]);
+
+        let parallelism = Parallelism::threads(2).with_threshold(16);
+        let ctx = EvalContext::new(compiled.out_schema(), &[&tick, &db], None);
+        let pass = ctx
+            .prepare_pass(rule, None, collect_bound(parallelism, 1))
+            .unwrap()
+            .expect("no atom is empty");
+        assert_eq!(pass.cost(), 64, "one pair per price tuple");
+        let passes = [Some(pass)];
+        assert!(pool_jobs(&passes, parallelism).len() > 1);
+
+        let (sequential, sequential_stats) = compiled
+            .evaluate_par(&[&tick, &db], Parallelism::sequential())
+            .unwrap();
+        let (parallel, parallel_stats) = compiled.evaluate_par(&[&tick, &db], parallelism).unwrap();
+        assert_eq!(sequential.relation("offer").unwrap().len(), 63);
+        assert_eq!(parallel, sequential);
+        assert_eq!(parallel_stats, sequential_stats);
     }
 
     #[test]

@@ -33,6 +33,14 @@
 //!   included) with one full pass.  Disequalities and static negations are
 //!   checked once, at derivation.
 //!
+//! Sinks become relations in bulk: each rule's derivations (a volatile
+//! rule's join output, a cached rule's emitted heads) are drained into the
+//! step's output through one
+//! [`Instance::insert_bulk`](rtx_relational::Instance::insert_bulk) — sorted,
+//! deduplicated and built in one linear pass — instead of one set insert per
+//! tuple.  A catalog-wide rule behind an input tick derives O(catalog)
+//! tuples every step, and this keeps placing them cheaper than the join.
+//!
 //! The caching is sound only for **flat** programs (no derived relation in
 //! any body, which Spocus guarantees); [`StepEvaluator::new`] rejects
 //! anything else.  Seeding is **per rule**: when a static relation changes
@@ -123,6 +131,10 @@ pub struct StepEvaluator {
     initialized: bool,
     parallelism: Parallelism,
     budget: EvalBudget,
+    /// Scratch sink reused across rules and steps: a rule's derivations
+    /// land here and are drained into the step's output in bulk, so a step
+    /// of small rules allocates no sink.
+    sink: Vec<Tuple>,
 }
 
 impl StepEvaluator {
@@ -241,6 +253,7 @@ impl StepEvaluator {
             initialized: false,
             parallelism: Parallelism::default(),
             budget: EvalBudget::UNLIMITED,
+            sink: Vec::new(),
         })
     }
 
@@ -405,7 +418,7 @@ impl StepEvaluator {
         let mut volatile_ctx: Option<EvalContext<'_>> = None;
         let cached_sources = [grown];
         let mut cached_ctx: Option<EvalContext<'_>> = None;
-        let mut sink: Vec<Tuple> = Vec::new();
+        let sink = &mut self.sink;
 
         for (rule, step_rule) in program.rules().iter().zip(self.rules.iter_mut()) {
             match step_rule {
@@ -415,12 +428,10 @@ impl StepEvaluator {
                     });
                     stats.rule_applications += 1;
                     sink.clear();
-                    ctx.run_pass_par(rule, None, parallelism, &mut sink)?;
+                    ctx.run_pass_par(rule, None, parallelism, sink)?;
                     stats.tuples_derived += sink.len() as u64;
                     budget.check(&stats)?;
-                    for tuple in sink.drain(..) {
-                        out.insert(rule.head_relation.clone(), tuple)?;
-                    }
+                    out.insert_bulk(&rule.head_relation, sink)?;
                 }
                 StepKind::Cached {
                     modified,
@@ -452,7 +463,7 @@ impl StepEvaluator {
                     if !*seeded {
                         stats.rule_applications += 1;
                         sink.clear();
-                        ctx.run_pass_par(rule, None, parallelism, &mut sink)?;
+                        ctx.run_pass_par(rule, None, parallelism, sink)?;
                         stats.tuples_derived += sink.len() as u64;
                         budget.check(&stats)?;
                         rows.extend(sink.drain(..));
@@ -474,7 +485,7 @@ impl StepEvaluator {
                                 old: grown_old,
                                 old_shadows_sources: true,
                             };
-                            ctx.run_pass_par(rule, Some(&view), parallelism, &mut sink)?;
+                            ctx.run_pass_par(rule, Some(&view), parallelism, sink)?;
                         }
                         stats.tuples_derived += sink.len() as u64;
                         budget.check(&stats)?;
@@ -483,7 +494,9 @@ impl StepEvaluator {
                     for (name, len) in grow_sizes.iter_mut() {
                         *len = grown.get(name).map_or(0, |r| r.len());
                     }
-                    emit_cached(rule, *head_len, deferred, rows, volatile, grown, &mut out)?;
+                    emit_cached(
+                        rule, *head_len, deferred, rows, volatile, grown, sink, &mut out,
+                    )?;
                 }
             }
         }
@@ -497,7 +510,8 @@ impl StepEvaluator {
 /// is safe because [`StepEvaluator::step`] version-guards it: a shrink of
 /// the negated relation (observed by cardinality, or announced through
 /// [`StepEvaluator::invalidate_relations`]) reseeds the whole rule cache,
-/// dropped rows included.
+/// dropped rows included.  `heads` is scratch space, left empty.
+#[allow(clippy::too_many_arguments)]
 fn emit_cached(
     rule: &CompiledRule,
     head_len: usize,
@@ -505,9 +519,13 @@ fn emit_cached(
     rows: &mut BTreeSet<Tuple>,
     volatile: &Instance,
     grown: &Instance,
+    heads: &mut Vec<Tuple>,
     out: &mut Instance,
 ) -> Result<(), DatalogError> {
     let mut dead: Vec<Tuple> = Vec::new();
+    // A step that failed part-way may have left derivations behind.
+    heads.clear();
+    heads.reserve(rows.len());
     for row in rows.iter() {
         let values = row.values();
         let mut emit = true;
@@ -528,12 +546,10 @@ fn emit_cached(
             }
         }
         if emit {
-            out.insert(
-                rule.head_relation.clone(),
-                Tuple::from_slice(&values[..head_len]),
-            )?;
+            heads.push(Tuple::from_slice(&values[..head_len]));
         }
     }
+    out.insert_bulk(&rule.head_relation, heads)?;
     for row in dead {
         rows.remove(&row);
     }

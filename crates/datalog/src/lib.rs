@@ -50,7 +50,8 @@
 //!   evaluation* below);
 //! * [`pool`] — the scoped-thread executor behind data-parallel stratum
 //!   evaluation: independent rules of a stratum and chunks of one rule's
-//!   outer-atom candidates fan out to a fixed worker pool under a
+//!   outer candidates (its level-0 join tuples, or its level-1 pairs when
+//!   level 0 is too small to split) fan out to a fixed worker pool under a
 //!   [`Parallelism`] policy, with per-pass sinks merged in fixed
 //!   `(stratum, rule, pass, chunk)` order so parallel results (and
 //!   [`EvalStats`] counters) are **bit-identical to sequential** — the

@@ -25,7 +25,7 @@
 //!   [`EvalOptions`](crate::EvalOptions), the `evaluate_*` entry points of
 //!   [`CompiledProgram`](crate::CompiledProgram), the incremental
 //!   [`StepEvaluator`](crate::StepEvaluator) and the `rtx-core` runtime:
-//!   how many workers, and above which level-0 candidate count a pass is
+//!   how many workers, and above which outer candidate count a pass is
 //!   worth fanning out (below the threshold the sequential path runs — OS
 //!   threads cost tens of microseconds, so tiny passes must stay inline).
 //!
@@ -42,8 +42,10 @@
 //! * each unit derives into its own sink, and sinks are merged in the fixed
 //!   `(stratum, rule, pass, chunk)` order — exactly the order the sequential
 //!   loop would have produced them in;
-//! * chunks partition the outer-atom candidates in iteration order, so the
-//!   concatenated chunk sinks reproduce the sequential sink verbatim.
+//! * chunks partition the outer candidates (level-0 tuples, or
+//!   `(level-0, level-1)` pairs when level 0 is too small to split) in
+//!   iteration order, so the concatenated chunk sinks reproduce the
+//!   sequential sink verbatim.
 //!
 //! A panic in a worker propagates to the caller after every other worker has
 //! been joined; errors ([`DatalogError`](crate::DatalogError)) are surfaced
@@ -93,7 +95,7 @@ fn workers_setting(raw: Option<&str>) -> Result<Option<usize>, rtx_relational::e
     })
 }
 
-/// The default level-0 candidate count above which a pass is fanned out to
+/// The default outer candidate count above which a pass is fanned out to
 /// the pool.  Below it, spawning OS threads costs more than the join saves:
 /// the threshold keeps per-step transducer evaluation (a handful of input
 /// tuples against an indexed catalog) on the sequential fast path.
@@ -111,7 +113,7 @@ pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
 pub struct Parallelism {
     /// Worker count; 0 means "resolve from `available_parallelism`".
     threads: usize,
-    /// Minimum total level-0 candidate count for a parallel region.
+    /// Minimum total outer candidate count for a parallel region.
     threshold: usize,
 }
 

@@ -40,10 +40,29 @@ fn reach_program() -> CompiledProgram {
     CompiledProgram::compile(&program).unwrap()
 }
 
+/// [`reach_program`] plus the `offer` shape: a catalog-wide rule behind a
+/// one-tuple `tick` guard that shares no variable with the rest, so the
+/// parallel engine can only split it below the guard, on `link`.
+fn guarded_program() -> CompiledProgram {
+    let program = parse_program(
+        "reach(X) :- seed(X).\n\
+         reach(Y) :- reach(X), link(Y, X).\n\
+         offer(Y, X) :- tick(T), link(Y, X), NOT seed(Y).",
+    )
+    .unwrap();
+    CompiledProgram::compile(&program).unwrap()
+}
+
+/// Both programs the determinism tests run.
+fn programs() -> [CompiledProgram; 2] {
+    [reach_program(), guarded_program()]
+}
+
 fn seeds() -> Instance {
-    let schema = Schema::from_pairs([("seed", 1)]).unwrap();
+    let schema = Schema::from_pairs([("seed", 1), ("tick", 1)]).unwrap();
     let mut inst = Instance::empty(&schema);
     inst.insert("seed", Tuple::from_iter(["n0"])).unwrap();
+    inst.insert("tick", Tuple::from_iter(["t0"])).unwrap();
     inst
 }
 
@@ -86,28 +105,30 @@ fn recursive_non_prefix_probe_builds_the_resident_index_once() {
     assert_eq!(resident.index_builds(), 2, "one rebuild after the write");
 }
 
-/// The same recursive, non-prefix workload run under 1/2/8 workers with the
-/// threshold forced to zero is bit-identical to the sequential engine —
-/// derived instance and `EvalStats` counters alike.
+/// The same recursive, non-prefix workload — alone, and beside a guarded
+/// catalog-wide rule — run under 1/2/8 workers with the threshold forced to
+/// zero is bit-identical to the sequential engine: derived instance and
+/// `EvalStats` counters alike.
 #[test]
 fn recursive_non_prefix_workload_is_parallel_deterministic() {
-    let compiled = reach_program();
-    let db = chain_db(48);
-    let resident = compiled.prepare(&db);
-    let inputs = seeds();
-    let (seq, seq_stats) = compiled
-        .evaluate_resident_par(&[&inputs], &resident, Parallelism::sequential())
-        .unwrap();
-    assert_eq!(seq.relation("reach").unwrap().len(), 48);
-    for threads in [1usize, 2, 8] {
-        let par = Parallelism::threads(threads).with_threshold(0);
-        let (out, stats) = compiled
-            .evaluate_resident_par(&[&inputs], &resident, par)
+    for compiled in programs() {
+        let db = chain_db(48);
+        let resident = compiled.prepare(&db);
+        let inputs = seeds();
+        let (seq, seq_stats) = compiled
+            .evaluate_resident_par(&[&inputs], &resident, Parallelism::sequential())
             .unwrap();
-        assert_eq!(out, seq, "threads={threads} diverged");
-        assert_eq!(stats, seq_stats, "threads={threads} counter drift");
+        assert_eq!(seq.relation("reach").unwrap().len(), 48);
+        for threads in [1usize, 2, 8] {
+            let par = Parallelism::threads(threads).with_threshold(0);
+            let (out, stats) = compiled
+                .evaluate_resident_par(&[&inputs], &resident, par)
+                .unwrap();
+            assert_eq!(out, seq, "threads={threads} diverged");
+            assert_eq!(stats, seq_stats, "threads={threads} counter drift");
+        }
+        assert_eq!(resident.index_builds(), 1, "all arms shared one index");
     }
-    assert_eq!(resident.index_builds(), 1, "all arms shared one index");
 }
 
 /// Non-resident evaluation of the same shape: the per-evaluation index cache
@@ -115,22 +136,23 @@ fn recursive_non_prefix_workload_is_parallel_deterministic() {
 /// sequential one without any resident database at all.
 #[test]
 fn non_prefix_shapes_without_a_resident_db_stay_deterministic() {
-    let compiled = reach_program();
-    let db = chain_db(32);
-    let inputs = seeds();
-    let (seq, seq_stats) = compiled
-        .evaluate_par(&[&inputs, &db], Parallelism::sequential())
-        .unwrap();
-    assert_eq!(seq.relation("reach").unwrap().len(), 32);
-    for threads in [2usize, 8] {
-        let (out, stats) = compiled
-            .evaluate_par(
-                &[&inputs, &db],
-                Parallelism::threads(threads).with_threshold(0),
-            )
+    for compiled in programs() {
+        let db = chain_db(32);
+        let inputs = seeds();
+        let (seq, seq_stats) = compiled
+            .evaluate_par(&[&inputs, &db], Parallelism::sequential())
             .unwrap();
-        assert_eq!(out, seq);
-        assert_eq!(stats, seq_stats);
+        assert_eq!(seq.relation("reach").unwrap().len(), 32);
+        for threads in [2usize, 8] {
+            let (out, stats) = compiled
+                .evaluate_par(
+                    &[&inputs, &db],
+                    Parallelism::threads(threads).with_threshold(0),
+                )
+                .unwrap();
+            assert_eq!(out, seq);
+            assert_eq!(stats, seq_stats);
+        }
     }
 }
 

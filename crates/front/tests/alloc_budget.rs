@@ -1,6 +1,8 @@
 //! Counted costs of the wire path (ROADMAP slice 11a): heap allocations per
 //! warm wire `STEP` and per `OPEN` against a loopback [`FrontServer`], plus
-//! the allocation-free empty relation.  Counts are exact and repeat on every
+//! the allocation-free empty relation, and the in-process cost of building
+//! derived relations: a catalog-wide step, a bulk build, a shared duplicate
+//! insert.  Counts are exact and repeat on every
 //! run, so unlike a timer they can gate tier-1 on a shared 2-core box.
 //!
 //! Each count covers every thread of the process — the test's raw client
@@ -24,14 +26,26 @@
 //! | warm `OPEN`, `category` | 1,055 | [`OPEN_CATEGORY`] |
 //! | warm demanded `OPEN`, `storefront` | 1,397 | [`OPEN_STOREFRONT`] |
 //! | `Relation::empty` | 1 | 0 |
+//!
+//! The in-process fences count how derived relations are built.  The parent
+//! commit (cd128b6: every derived tuple placed by its own set insert, two
+//! B-tree descents each) measured, by this same test:
+//!
+//! | count | parent | budget |
+//! |---|---|---|
+//! | per warm in-process `STEP`, undemanded `storefront`, 2,000 products | 299–308 | 186–[`STEP_STOREFRONT_FULL`] |
+//! | building 4,096 sorted tuples (`from_tuples` then; `insert_bulk` now) | 682 | 377, at most n/8 + 2 |
+//! | inserting a duplicate into a relation shared with a clone | 0 | 0 |
 
+use rtx_core::Runtime;
+use rtx_datalog::{Parallelism, ResidentDb};
 use rtx_front::{combined_catalog, render_instance, FrontConfig, FrontServer};
-use rtx_relational::{InstanceSequence, Relation};
+use rtx_relational::{InstanceSequence, Relation, Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Most allocations one warm `STEP` of a `short` session may take.
@@ -270,5 +284,87 @@ fn an_empty_relation_allocates_nothing() {
         drop(relation);
     }
     eprintln!("Relation::empty: {least}");
+    assert_eq!(least, 0);
+}
+
+/// Products in the in-process `storefront` catalog.
+const CATALOG_PRODUCTS: usize = 2_000;
+
+/// Most allocations one warm, in-process, undemanded `storefront` step over a
+/// [`CATALOG_PRODUCTS`]-product catalog may take: every step re-derives
+/// `offer` for the whole catalog.
+const STEP_STOREFRONT_FULL: u64 = 196;
+
+#[test]
+fn an_undemanded_storefront_step_stays_within_its_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let catalog = rtx_workloads::category_catalog(CATALOG_PRODUCTS, 50, 5);
+    let db = Arc::new(ResidentDb::new(catalog));
+    let runtime = Runtime::shared_with(db, Parallelism::sequential());
+    let model = Arc::new(rtx_workloads::storefront_model());
+    let inputs = rtx_workloads::browse_session(STEPS, CATALOG_PRODUCTS, 10);
+    // The first session warms the symbol table and the catalog; each step's
+    // count is the minimum over the later ones.
+    let mut costs = vec![u64::MAX; inputs.len()];
+    for repeat in 0..=REPEATS {
+        let name = format!("storefront-full-{repeat}");
+        let mut session = runtime.open_session(name, Arc::clone(&model)).unwrap();
+        for (cost, input) in costs.iter_mut().zip(inputs.iter()) {
+            let before = allocations();
+            let output = session.step(input).unwrap();
+            let took = allocations() - before;
+            let offers = output.relation("offer").unwrap().len();
+            assert!(offers > CATALOG_PRODUCTS / 4, "{offers} offers");
+            if repeat > 0 {
+                *cost = (*cost).min(took);
+            }
+        }
+    }
+    let (least, most) = (costs.iter().min().unwrap(), costs.iter().max().unwrap());
+    eprintln!("in-process undemanded storefront: STEP {least}–{most}");
+    assert!(*most <= STEP_STOREFRONT_FULL, "{costs:?}");
+}
+
+/// Tuples in the bulk-built relation.
+const BULK_TUPLES: usize = 4_096;
+
+/// Sorted integer tuples `0..n`, built before any count starts.
+fn sorted_run(n: usize) -> Vec<Tuple> {
+    (0..n as i64)
+        .map(|i| Tuple::new(vec![Value::int(i)]))
+        .collect()
+}
+
+#[test]
+fn a_bulk_build_of_a_sorted_run_fills_whole_nodes() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut least = u64::MAX;
+    for _ in 0..REPEATS {
+        let mut run = sorted_run(BULK_TUPLES);
+        let mut relation = Relation::empty(1);
+        let before = allocations();
+        relation.insert_bulk(&mut run).unwrap();
+        least = least.min(allocations() - before);
+        assert_eq!(relation.len(), BULK_TUPLES);
+    }
+    eprintln!("bulk build of {BULK_TUPLES} sorted tuples: {least}");
+    assert!(least <= BULK_TUPLES as u64 / 8 + 2, "{least}");
+}
+
+#[test]
+fn a_duplicate_insert_never_splits_a_shared_relation() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut relation = Relation::from_tuples(1, sorted_run(64)).unwrap();
+    let mut least = u64::MAX;
+    for _ in 0..REPEATS {
+        let clone = relation.clone();
+        let duplicate = Tuple::new(vec![Value::int(7)]);
+        let before = allocations();
+        let added = relation.insert(duplicate).unwrap();
+        least = least.min(allocations() - before);
+        assert!(!added);
+        assert_eq!(clone, relation);
+    }
+    eprintln!("duplicate insert into a shared relation: {least}");
     assert_eq!(least, 0);
 }

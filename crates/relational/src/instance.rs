@@ -5,6 +5,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+/// The longest run [`Relation::insert_bulk`] inserts tuple by tuple: one
+/// B-tree leaf's worth (a leaf holds 11 keys).  Up to this size the sorted
+/// bulk build saves no node, so the run skips the sort.
+const DIRECT_INSERT_MAX: usize = 11;
+
 /// A relation instance: a finite set of tuples, all of the same arity.
 ///
 /// The arity is fixed at construction time; inserting a tuple of a different
@@ -32,15 +37,14 @@ impl Relation {
         }
     }
 
-    /// Creates a relation from tuples; all tuples must share `arity`.
+    /// Creates a relation from tuples; all tuples must share `arity`.  Built
+    /// through [`Relation::insert_bulk`].
     pub fn from_tuples(
         arity: usize,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<Self, RelationalError> {
         let mut rel = Relation::empty(arity);
-        for t in tuples {
-            rel.insert(t)?;
-        }
+        rel.insert_bulk(&mut tuples.into_iter().collect())?;
         Ok(rel)
     }
 
@@ -59,19 +63,70 @@ impl Relation {
         self.tuples.is_empty()
     }
 
+    /// The error for a tuple of the wrong arity.
+    fn arity_mismatch(&self, actual: usize) -> RelationalError {
+        RelationalError::ArityMismatch {
+            relation: String::from("<anonymous>"),
+            expected: self.arity,
+            actual,
+        }
+    }
+
     /// Inserts a tuple, checking its arity.  Returns whether the tuple was new.
+    ///
+    /// An unshared set takes one B-tree descent.  A set shared with other
+    /// clones is probed first, so inserting a duplicate never splits the
+    /// sharing; a new tuple copies the set, then inserts.
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool, RelationalError> {
         if tuple.arity() != self.arity {
-            return Err(RelationalError::ArityMismatch {
-                relation: String::from("<anonymous>"),
-                expected: self.arity,
-                actual: tuple.arity(),
-            });
+            return Err(self.arity_mismatch(tuple.arity()));
+        }
+        Ok(self.insert_unchecked(tuple))
+    }
+
+    fn insert_unchecked(&mut self, tuple: Tuple) -> bool {
+        if let Some(own) = Arc::get_mut(&mut self.tuples) {
+            return own.insert(tuple);
         }
         if self.tuples.contains(&tuple) {
-            return Ok(false);
+            return false;
         }
-        Ok(Arc::make_mut(&mut self.tuples).insert(tuple))
+        Arc::make_mut(&mut self.tuples).insert(tuple)
+    }
+
+    /// Inserts a run of tuples, draining `tuples` — the form the datalog
+    /// engine turns a rule's output sink into a relation with.  Returns how
+    /// many tuples were new.
+    ///
+    /// Every tuple's arity is checked first: on a mismatch the relation and
+    /// the run are left untouched and the error is the one
+    /// [`Relation::insert`] reports.  A run that fits one B-tree leaf (at
+    /// most 11 tuples) is inserted tuple by tuple, and the drained vector
+    /// keeps its capacity for the caller's next run.  A longer run is sorted
+    /// and deduplicated; into an empty relation the set is then built in one
+    /// linear pass from the sorted run, which fills every node instead of
+    /// splitting half-full ones (the run's buffer is consumed), and
+    /// otherwise the tuples are inserted in order, copy-on-write like
+    /// [`Relation::insert`].
+    pub fn insert_bulk(&mut self, tuples: &mut Vec<Tuple>) -> Result<usize, RelationalError> {
+        if let Some(bad) = tuples.iter().find(|t| t.arity() != self.arity) {
+            return Err(self.arity_mismatch(bad.arity()));
+        }
+        if tuples.len() > DIRECT_INSERT_MAX {
+            tuples.sort_unstable();
+            tuples.dedup();
+            if self.tuples.is_empty() {
+                let run = std::mem::take(tuples);
+                let added = run.len();
+                self.tuples = Arc::new(run.into_iter().collect());
+                return Ok(added);
+            }
+        }
+        let mut added = 0;
+        for tuple in tuples.drain(..) {
+            added += usize::from(self.insert_unchecked(tuple));
+        }
+        Ok(added)
     }
 
     /// Removes a tuple, checking its arity.  Returns whether the tuple was
@@ -80,11 +135,10 @@ impl Relation {
     /// actually removed, and removing an absent tuple never splits sharing.
     pub fn remove(&mut self, tuple: &Tuple) -> Result<bool, RelationalError> {
         if tuple.arity() != self.arity {
-            return Err(RelationalError::ArityMismatch {
-                relation: String::from("<anonymous>"),
-                expected: self.arity,
-                actual: tuple.arity(),
-            });
+            return Err(self.arity_mismatch(tuple.arity()));
+        }
+        if let Some(own) = Arc::get_mut(&mut self.tuples) {
+            return Ok(own.remove(tuple));
         }
         if !self.tuples.contains(tuple) {
             return Ok(false);
@@ -254,6 +308,15 @@ impl Instance {
             .expect("an instance never holds conflicting relations")
     }
 
+    /// The relation `name`, for a mutation.
+    fn relation_mut(&mut self, name: &RelationName) -> Result<&mut Relation, RelationalError> {
+        self.relations
+            .get_mut(name)
+            .ok_or_else(|| RelationalError::UnknownRelation {
+                name: name.as_str().to_string(),
+            })
+    }
+
     /// Inserts a tuple into a relation.  Returns whether the tuple was new.
     pub fn insert(
         &mut self,
@@ -261,22 +324,21 @@ impl Instance {
         tuple: Tuple,
     ) -> Result<bool, RelationalError> {
         let name = name.into();
-        let rel =
-            self.relations
-                .get_mut(&name)
-                .ok_or_else(|| RelationalError::UnknownRelation {
-                    name: name.as_str().to_string(),
-                })?;
-        rel.insert(tuple).map_err(|e| match e {
-            RelationalError::ArityMismatch {
-                expected, actual, ..
-            } => RelationalError::ArityMismatch {
-                relation: name.as_str().to_string(),
-                expected,
-                actual,
-            },
-            other => other,
-        })
+        let result = self.relation_mut(&name)?.insert(tuple);
+        result.map_err(|e| named(&name, e))
+    }
+
+    /// Inserts a run of tuples into a relation through
+    /// [`Relation::insert_bulk`], draining `tuples`.  Returns how many tuples
+    /// were new; on an arity mismatch the relation is left untouched.
+    pub fn insert_bulk(
+        &mut self,
+        name: impl Into<RelationName>,
+        tuples: &mut Vec<Tuple>,
+    ) -> Result<usize, RelationalError> {
+        let name = name.into();
+        let result = self.relation_mut(&name)?.insert_bulk(tuples);
+        result.map_err(|e| named(&name, e))
     }
 
     /// Removes a tuple from a relation.  Returns whether the tuple was
@@ -287,22 +349,8 @@ impl Instance {
         tuple: &Tuple,
     ) -> Result<bool, RelationalError> {
         let name = name.into();
-        let rel =
-            self.relations
-                .get_mut(&name)
-                .ok_or_else(|| RelationalError::UnknownRelation {
-                    name: name.as_str().to_string(),
-                })?;
-        rel.remove(tuple).map_err(|e| match e {
-            RelationalError::ArityMismatch {
-                expected, actual, ..
-            } => RelationalError::ArityMismatch {
-                relation: name.as_str().to_string(),
-                expected,
-                actual,
-            },
-            other => other,
-        })
+        let result = self.relation_mut(&name)?.remove(tuple);
+        result.map_err(|e| named(&name, e))
     }
 
     /// Looks up a relation by name.
@@ -397,13 +445,7 @@ impl Instance {
     /// `self` is absorbed; unknown names are errors.
     pub fn absorb(&mut self, other: &Instance) -> Result<(), RelationalError> {
         for (name, rel) in other.relations.iter() {
-            let existing =
-                self.relations
-                    .get_mut(name)
-                    .ok_or_else(|| RelationalError::UnknownRelation {
-                        name: name.as_str().to_string(),
-                    })?;
-            existing.absorb(rel)?;
+            self.relation_mut(name)?.absorb(rel)?;
         }
         Ok(())
     }
@@ -417,14 +459,7 @@ impl Instance {
         name: impl Into<RelationName>,
         relation: &Relation,
     ) -> Result<(), RelationalError> {
-        let name = name.into();
-        let existing =
-            self.relations
-                .get_mut(&name)
-                .ok_or_else(|| RelationalError::UnknownRelation {
-                    name: name.as_str().to_string(),
-                })?;
-        existing.absorb(relation)
+        self.relation_mut(&name.into())?.absorb(relation)
     }
 
     /// Materialises an empty relation under `name` if the instance does not
@@ -476,6 +511,20 @@ impl Instance {
             .map(|(n, r)| (f(n), r.clone()))
             .collect();
         Instance { relations }
+    }
+}
+
+/// Names the relation in a [`Relation`]'s anonymous arity error.
+fn named(name: &RelationName, error: RelationalError) -> RelationalError {
+    match error {
+        RelationalError::ArityMismatch {
+            expected, actual, ..
+        } => RelationalError::ArityMismatch {
+            relation: name.as_str().to_string(),
+            expected,
+            actual,
+        },
+        other => other,
     }
 }
 
@@ -728,6 +777,70 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(r.contains(&t1("a")));
         assert!(Relation::from_tuples(1, vec![t2("a", 1)]).is_err());
+    }
+
+    /// Arity-2 tuples over a small domain, so runs carry duplicates.
+    fn pairs(spec: &[(usize, i64)]) -> Vec<Tuple> {
+        spec.iter().map(|&(a, b)| t2(&format!("v{a}"), b)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// `insert_bulk` builds exactly what inserting the run tuple by tuple
+        /// builds, into an empty, a non-empty or a shared relation (whose
+        /// other clone stays as it was); both sides count the same new
+        /// tuples.  With one tuple of the wrong arity anywhere in the run,
+        /// it fails with the error `insert` reports and changes nothing.
+        #[test]
+        fn bulk_insert_matches_per_tuple_insert(
+            base in proptest::collection::vec((0usize..6, 0i64..4), 1..24),
+            run in proptest::collection::vec((0usize..6, 0i64..4), 0..48),
+            target in 0usize..3,
+            bad_at in 0usize..48,
+        ) {
+            let base = if target == 0 { Vec::new() } else { pairs(&base) };
+            let run = pairs(&run);
+            let mut expected = Relation::from_tuples(2, base.clone()).unwrap();
+            let mut bulk = expected.clone();
+            let other = (target == 2).then(|| bulk.clone());
+
+            let mut expected_new = 0;
+            for t in run.iter().cloned() {
+                expected_new += usize::from(expected.insert(t).unwrap());
+            }
+            let mut sink = run.clone();
+            proptest::prop_assert_eq!(bulk.insert_bulk(&mut sink).unwrap(), expected_new);
+            proptest::prop_assert!(sink.is_empty());
+            proptest::prop_assert_eq!(&bulk, &expected);
+            if let Some(other) = other {
+                proptest::prop_assert_eq!(other, Relation::from_tuples(2, base).unwrap());
+            }
+
+            let before = bulk.clone();
+            let mut bad_run = run;
+            bad_run.insert(bad_at % (bad_run.len() + 1), t1("odd"));
+            let error = Relation::empty(2).insert(t1("odd")).unwrap_err();
+            proptest::prop_assert_eq!(bulk.insert_bulk(&mut bad_run).unwrap_err(), error);
+            proptest::prop_assert_eq!(&bulk, &before);
+        }
+    }
+
+    #[test]
+    fn instance_bulk_insert_names_the_relation_in_errors() {
+        let mut inst = Instance::empty(&schema());
+        let mut run: Vec<Tuple> = (0..20).map(|i| t2("time", i % 7)).collect();
+        assert_eq!(inst.insert_bulk("pay", &mut run).unwrap(), 7);
+        let mut bad = vec![t1("time")];
+        let err = inst.insert_bulk("pay", &mut bad).unwrap_err();
+        assert!(matches!(
+            err,
+            RelationalError::ArityMismatch { ref relation, expected: 2, actual: 1 }
+                if relation == "pay"
+        ));
+        let err = inst.insert_bulk("deliver", &mut bad).unwrap_err();
+        assert!(matches!(err, RelationalError::UnknownRelation { .. }));
+        assert_eq!(inst.relation("pay").unwrap().len(), 7);
     }
 
     #[test]

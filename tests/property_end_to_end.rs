@@ -70,19 +70,25 @@ const EDB_RELATIONS: [(&str, usize); 3] = [("e1", 1), ("e2", 2), ("e3", 2)];
 const IDB_RELATIONS: [(&str, usize); 2] = [("d0", 1), ("d1", 2)];
 const DOMAIN: [&str; 4] = ["a", "b", "c", "d"];
 const VARS: [&str; 4] = ["X", "Y", "Z", "W"];
+/// The one-tuple input guard of the `offer` shape (`offer(P,Y) :-
+/// refresh(R), price(P,Y), …`): every database holds exactly `tick(t0)`, and
+/// a guarded rule reads `tick(G)` first, with `G` used nowhere else.
+const GUARD: (&str, usize) = ("tick", 1);
 
 /// One positive body atom: a relation selector and variable selectors (the
 /// selector vector is truncated/cycled to the relation's arity).
 type AtomSpec = (usize, Vec<usize>);
 
 /// One rule: head relation selector, head variable selectors, positive
-/// atoms, negated EDB atoms, and inequality pairs.
+/// atoms, negated EDB atoms, inequality pairs, and a guard selector (0
+/// guards the rule with [`GUARD`]).
 type RuleSpec = (
     usize,
     Vec<usize>,
     Vec<AtomSpec>,
     Vec<AtomSpec>,
     Vec<(usize, usize)>,
+    usize,
 );
 
 fn rule_spec_strategy() -> impl Strategy<Value = RuleSpec> {
@@ -98,6 +104,7 @@ fn rule_spec_strategy() -> impl Strategy<Value = RuleSpec> {
             0..3,
         ),
         proptest::collection::vec((0usize..8, 0usize..8), 0..2),
+        0usize..3,
     )
 }
 
@@ -105,7 +112,7 @@ fn rule_spec_strategy() -> impl Strategy<Value = RuleSpec> {
 /// construction: head, negation and inequality variables are always drawn
 /// from the variables of the positive atoms.
 fn build_rule(spec: &RuleSpec) -> Rule {
-    let (head_sel, head_vars, atoms, negs, diseqs) = spec;
+    let (head_sel, head_vars, atoms, negs, diseqs, guard) = spec;
     // Positive atoms over EDB relations and (for layering/recursion) IDBs.
     let atom_table: Vec<(&str, usize)> = EDB_RELATIONS
         .iter()
@@ -140,7 +147,14 @@ fn build_rule(spec: &RuleSpec) -> Rule {
         (0..head_arity).map(|i| pick_bound(head_vars[i % head_vars.len()])),
     );
 
-    let mut body: Vec<BodyLiteral> = positives.into_iter().map(BodyLiteral::Positive).collect();
+    // The guard goes first, so the join reads it at level 0 (it binds one
+    // fresh variable, no more than any other atom).
+    let guard = (*guard == 0).then(|| Atom::new(GUARD.0, [Term::var("G")]));
+    let mut body: Vec<BodyLiteral> = guard
+        .into_iter()
+        .chain(positives)
+        .map(BodyLiteral::Positive)
+        .collect();
     for (rel_sel, var_sels) in negs {
         // Negation only over EDB relations keeps every program stratifiable.
         let (rel, arity) = EDB_RELATIONS[rel_sel % EDB_RELATIONS.len()];
@@ -160,8 +174,9 @@ fn random_program_strategy() -> impl Strategy<Value = Program> {
 
 fn random_edb_strategy() -> impl Strategy<Value = Instance> {
     proptest::collection::vec((0usize..3, 0usize..4, 0usize..4), 0..16).prop_map(|facts| {
-        let schema = Schema::from_pairs(EDB_RELATIONS).unwrap();
+        let schema = Schema::from_pairs(EDB_RELATIONS.into_iter().chain([GUARD])).unwrap();
         let mut db = Instance::empty(&schema);
+        db.insert(GUARD.0, Tuple::from_iter(["t0"])).unwrap();
         for (rel_sel, v1, v2) in facts {
             let (rel, arity) = EDB_RELATIONS[rel_sel];
             let tuple = if arity == 1 {
@@ -417,7 +432,7 @@ proptest! {
             .evaluate_par(&[&sources], Parallelism::sequential())
             .unwrap();
         prop_assert_eq!(
-            &rewrite.restrict(&sequential), &expected,
+            &sequential, &expected,
             "demand rewrite ≠ filtered full evaluation\n{}", program
         );
         for threads in [1usize, 2, 8] {
