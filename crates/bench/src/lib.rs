@@ -19,8 +19,6 @@
 //! * `parallel_strata` — data-parallel stratum evaluation vs. thread count;
 //! * `mutation` — delete-rederive maintenance of a 1-tuple retraction
 //!   against a 100k-product catalog vs. full re-evaluation;
-//! * `durability` — WAL append throughput per fsync policy (real files),
-//!   snapshot writes, and cold recovery vs. journal length;
 //! * `monitoring` — an 8-session fleet unmonitored, with an observing
 //!   `SessionMonitor`, and with its input-control gate enforcing;
 //! * `demand_footprint` — per-session probe cost vs. catalog size: full

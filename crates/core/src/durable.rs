@@ -3,26 +3,24 @@
 //! A plain [`Runtime`] serves sessions against an in-memory
 //! [`ResidentDb`](rtx_datalog::ResidentDb); a process restart loses the
 //! catalog.  A [`DurableRuntime`] pairs the runtime with **one**
-//! [`rtx_store::DurableStore`], whatever the runtime's shard count: every
-//! catalog mutation is write-ahead logged through the store's [`Vfs`]
-//! *before* it reaches the shared resident database, and
+//! [`rtx_store::DurableStore`], whatever the runtime's shard count, and
+//! serves the store's own catalog: the store's resident database *is* the
+//! database every shard reads, so there is no second copy to keep current.
 //! [`Runtime::open_durable`] / [`ShardedRuntime::open_durable`] recover the
 //! exact committed catalog after a crash — snapshot, WAL tail replay,
 //! torn-tail handling and all (see the `rtx-store` crate docs for the
 //! lifecycle).  Recovery does not depend on the shard count: a store can be
 //! reopened with a different one.
 //!
-//! Ordering per mutation: WAL append (+ fsync per [`FsyncPolicy`]) →
-//! in-memory [`rtx_store::Store`] apply → journal suffix replayed into the
-//! shared `ResidentDb` via [`ResidentSync`], bumping exactly the touched
-//! relation's version stamp so open sessions on every shard reseed only what
-//! changed.  The [`ResidentSync`] cursor uses absolute journal offsets, so
-//! [`DurableRuntime::checkpoint`] (which truncates the journal) never
-//! desynchronizes it.
+//! Ordering per mutation: validation against the catalog → WAL append
+//! (+ fsync per [`FsyncPolicy`]) → apply to the shared resident database,
+//! bumping exactly the touched relation's version stamp so open sessions on
+//! every shard reseed only what changed.  A checkpoint touches only the
+//! files.
 
 use crate::{CoreError, Runtime, Session, ShardedRuntime, SpocusTransducer};
 use rtx_relational::Tuple;
-use rtx_store::{DurableStore, FsyncPolicy, RecoveryReport, ResidentSync, StoreError, Vfs};
+use rtx_store::{DurableStore, FsyncPolicy, RecoveryReport, StoreError, Vfs};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A [`Runtime`] whose catalog survives process crashes: mutations go
@@ -31,19 +29,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 #[derive(Debug)]
 pub struct DurableRuntime {
     sharded: ShardedRuntime,
-    durable: Mutex<DurableState>,
+    store: Mutex<DurableStore>,
 }
 
 /// [`DurableRuntime`] under the name callers of
 /// [`ShardedRuntime::open_durable`] use: durability does not depend on the
 /// shard count, so there is one type.
 pub type ShardedDurableRuntime = DurableRuntime;
-
-#[derive(Debug)]
-struct DurableState {
-    store: DurableStore,
-    sync: ResidentSync,
-}
 
 impl Runtime {
     /// Opens (or recovers) a one-shard durable runtime on `vfs` — see
@@ -58,22 +50,21 @@ impl Runtime {
 
 impl ShardedRuntime {
     /// Opens (or recovers) a durable runtime on `vfs`: persisted state is
-    /// recovered by the [`DurableStore`], made resident **once**, and served
-    /// to sessions on `shards` shards exactly like an in-memory runtime.
-    /// The fsync `policy` may be overridden by the `RTX_FSYNC` environment
-    /// variable (see [`FsyncPolicy::from_env`]; a malformed value is a hard
-    /// error).
+    /// recovered by the [`DurableStore`] and its catalog served to sessions
+    /// on `shards` shards exactly like an in-memory runtime's.  The fsync
+    /// `policy` may be overridden by the `RTX_FSYNC` environment variable
+    /// (see [`FsyncPolicy::from_env`]; a malformed value is a hard error).
     pub fn open_durable(
         vfs: Arc<dyn Vfs>,
         policy: FsyncPolicy,
         shards: usize,
     ) -> Result<(DurableRuntime, RecoveryReport), CoreError> {
         let (store, report) = DurableStore::open(vfs, policy)?;
-        let (resident, sync) = store.store().to_resident()?;
+        let sharded = ShardedRuntime::shared(Arc::clone(store.store().database()), shards);
         Ok((
             DurableRuntime {
-                sharded: ShardedRuntime::shared(Arc::new(resident), shards),
-                durable: Mutex::new(DurableState { store, sync }),
+                sharded,
+                store: Mutex::new(store),
             },
             report,
         ))
@@ -101,7 +92,7 @@ impl DurableRuntime {
         self.sharded.open_session(name, transducer)
     }
 
-    /// Creates a catalog table durably, then makes it resident.
+    /// Creates a catalog table durably.
     pub fn create_table(
         &self,
         name: impl Into<String>,
@@ -111,15 +102,14 @@ impl DurableRuntime {
         self.mutate(|store| store.create_table(name, arity, attributes))
     }
 
-    /// Inserts a catalog row durably, then makes it resident.  Open
-    /// sessions on every shard observe the change at their next step.
-    /// Returns `true` if the row was new.
+    /// Inserts a catalog row durably.  Open sessions on every shard observe
+    /// the change at their next step.  Returns `true` if the row was new.
     pub fn insert(&self, table: &str, row: Tuple) -> Result<bool, CoreError> {
         self.mutate(|store| store.insert(table, row))
     }
 
-    /// Retracts a catalog row durably, then removes it from the resident
-    /// database.  Returns `true` if the row was present.
+    /// Retracts a catalog row durably.  Returns `true` if the row was
+    /// present.
     pub fn retract(&self, table: &str, row: &Tuple) -> Result<bool, CoreError> {
         self.mutate(|store| store.retract(table, row))
     }
@@ -127,38 +117,31 @@ impl DurableRuntime {
     /// Forces every acknowledged write to stable storage, regardless of the
     /// fsync policy.
     pub fn sync(&self) -> Result<(), CoreError> {
-        Ok(self.lock().store.sync()?)
+        Ok(self.lock().sync()?)
     }
 
     /// Checkpoints the backing store: snapshots the catalog and truncates
     /// the WAL (see [`DurableStore::checkpoint`]).  The resident database
-    /// and open sessions are unaffected — the journal's monotone base
-    /// offset keeps the internal [`ResidentSync`] cursor valid across the
-    /// truncation.
+    /// and open sessions are unaffected.
     pub fn checkpoint(&self) -> Result<(), CoreError> {
-        Ok(self.lock().store.checkpoint()?)
+        Ok(self.lock().checkpoint()?)
     }
 
     /// The backing store's snapshot/WAL epoch (bumped per checkpoint).
     pub fn epoch(&self) -> u64 {
-        self.lock().store.epoch()
+        self.lock().epoch()
     }
 
-    fn lock(&self) -> MutexGuard<'_, DurableState> {
-        self.durable.lock().expect("durable state poisoned")
+    fn lock(&self) -> MutexGuard<'_, DurableStore> {
+        self.store.lock().expect("durable store poisoned")
     }
 
-    /// Applies one durable mutation, then replays its journal suffix into
-    /// the shared resident database.
+    /// Applies one durable mutation under the store lock.
     fn mutate<T>(
         &self,
         op: impl FnOnce(&mut DurableStore) -> Result<T, StoreError>,
     ) -> Result<T, CoreError> {
-        let mut state = self.lock();
-        let DurableState { store, sync } = &mut *state;
-        let out = op(store)?;
-        sync.sync(store.store(), self.sharded.database())?;
-        Ok(out)
+        Ok(op(&mut self.lock())?)
     }
 }
 
@@ -243,9 +226,8 @@ mod tests {
         let (rt, _) = open(&vfs);
         seed_figure1(&rt);
         let v0 = rt.runtime().database().version();
-        // A checkpoint truncates the journal mid-stream; the next mutation
-        // must still flow into the resident database (regression guard for
-        // the absolute-offset ResidentSync cursor).
+        // A checkpoint resets the WAL mid-stream; the next mutation must
+        // still reach the resident database.
         rt.checkpoint().unwrap();
         rt.insert(
             "price",
@@ -337,5 +319,62 @@ mod tests {
             CoreError::Store(rtx_store::StoreError::DuplicateTable(_))
         ));
         assert!(err.to_string().contains("already exists"));
+    }
+
+    #[test]
+    fn the_runtime_serves_the_stores_own_catalog() {
+        let vfs = MemVfs::new();
+        let (rt, _) =
+            ShardedRuntime::open_durable(Arc::new(vfs.clone()), FsyncPolicy::Always, 2).unwrap();
+        seed_figure1(&rt);
+        let store = rt.lock();
+        assert!(Arc::ptr_eq(
+            rt.sharded().database(),
+            store.store().database()
+        ));
+        drop(store);
+        drop(rt);
+        // Recovery builds one catalog too.
+        let (recovered, _) = Runtime::open_durable(Arc::new(vfs), FsyncPolicy::Always).unwrap();
+        assert!(Arc::ptr_eq(
+            recovered.runtime().database(),
+            recovered.lock().store().database()
+        ));
+    }
+
+    #[test]
+    fn a_wrong_arity_retract_is_an_error_and_logs_nothing() {
+        let time = Tuple::from_iter([Value::str("time")]);
+        let mismatch = |err| {
+            matches!(
+                err,
+                StoreError::ArityMismatch {
+                    expected: 2,
+                    actual: 1,
+                    ..
+                }
+            )
+        };
+
+        // The store alone.
+        let vfs = MemVfs::new();
+        let (mut store, _) =
+            DurableStore::open(Arc::new(vfs.clone()), FsyncPolicy::Always).unwrap();
+        store.create_table("price", 2, None).unwrap();
+        let wal = vfs.len_of("wal");
+        assert!(mismatch(store.retract("price", &time).unwrap_err()));
+        assert_eq!(vfs.len_of("wal"), wal);
+        assert_eq!(store.store().op_count(), 1);
+
+        // The runtime over it.
+        let vfs = MemVfs::new();
+        let (rt, _) = open(&vfs);
+        seed_figure1(&rt);
+        let wal = vfs.len_of("wal");
+        match rt.retract("price", &time).unwrap_err() {
+            CoreError::Store(err) => assert!(mismatch(err)),
+            other => panic!("expected a store error, got {other:?}"),
+        }
+        assert_eq!(vfs.len_of("wal"), wal);
     }
 }

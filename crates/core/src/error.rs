@@ -59,8 +59,8 @@ pub enum CoreError {
     Datalog(rtx_datalog::DatalogError),
     /// An error bubbled up from the relational layer.
     Relational(rtx_relational::RelationalError),
-    /// An error bubbled up from the durable store (I/O, corruption,
-    /// journal truncation).
+    /// An error bubbled up from the durable store (I/O, corruption, an
+    /// unknown table or a row of the wrong arity).
     Store(rtx_store::StoreError),
 }
 

@@ -7,9 +7,9 @@
 //! the owned replacement:
 //!
 //! * **Owned, copy-on-write tuple sets** — relations are `Arc`-shared
-//!   [`Relation`](rtx_relational::Relation)s, so constructing a resident
-//!   database from an [`Instance`] and snapshotting it back out are
-//!   O(#relations), never O(#tuples).
+//!   [`Relation`]s, so constructing a resident database from an
+//!   [`Instance`] and snapshotting it back out are O(#relations), never
+//!   O(#tuples).
 //! * **Version stamps** — a monotone counter stamps every relation at its
 //!   last mutation.  Hash indexes are cached per `(relation, key columns)`
 //!   pair together with the stamp they were built at and are invalidated
@@ -37,7 +37,7 @@
 
 use crate::compile::CompiledProgram;
 use rtx_relational::{
-    FxHashMap, Instance, RelationName, RelationalError, Schema, Tuple, TupleIndex,
+    FxHashMap, Instance, Relation, RelationName, RelationalError, Schema, Tuple, TupleIndex,
 };
 use std::collections::BTreeSet;
 use std::sync::{Arc, RwLock};
@@ -164,6 +164,25 @@ impl ResidentDb {
             inner.versions.insert(name, stamp);
         }
         Ok(removed)
+    }
+
+    /// True if relation `name` holds `tuple` (false for an absent relation).
+    pub fn contains(&self, name: &RelationName, tuple: &Tuple) -> bool {
+        self.read()
+            .instance
+            .get(name)
+            .is_some_and(|relation| relation.contains(tuple))
+    }
+
+    /// Replaces relation `name` wholesale (adding it if absent), sharing the
+    /// given tuple set, and bumps its version stamp.
+    pub fn replace_relation(&self, name: impl Into<RelationName>, relation: Relation) {
+        let name = name.into();
+        let mut inner = self.write();
+        inner.instance.replace_relation(name.clone(), relation);
+        inner.counter += 1;
+        let stamp = inner.counter;
+        inner.versions.insert(name, stamp);
     }
 
     /// Materialises an empty relation if absent (errors on an arity

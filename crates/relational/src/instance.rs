@@ -467,7 +467,7 @@ impl Instance {
     /// relation with a different arity is an error.
     ///
     /// This is how a long-lived database grows its schema in place (e.g. a
-    /// resident database replaying `CreateTable` journal entries).
+    /// store creating a table in its resident catalog).
     pub fn ensure_relation(
         &mut self,
         name: impl Into<RelationName>,
@@ -486,6 +486,12 @@ impl Instance {
                 Ok(true)
             }
         }
+    }
+
+    /// Sets relation `name` to `relation` (adding it if absent), sharing its
+    /// tuple set.
+    pub fn replace_relation(&mut self, name: impl Into<RelationName>, relation: Relation) {
+        self.relations.insert(name.into(), relation);
     }
 
     /// True if every tuple of every relation of `self` also appears in `other`.

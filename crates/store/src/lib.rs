@@ -6,37 +6,32 @@
 //! possibly very large and external", §2.2; the prototype of \[FAY97\] used
 //! Postgres).
 //!
-//! The store provides what the transducer runtime and the datalog engine
-//! need from such a database at laptop scale:
+//! The store holds **one** in-memory catalog: a version-stamped
+//! [`ResidentDb`](rtx_datalog::ResidentDb), the same database every session
+//! reads.  The modules are:
 //!
-//! * a [`Catalog`] of named tables with fixed arity and optional attribute
-//!   names;
-//! * hash-indexed [`Table`]s with O(1) duplicate detection and per-column
-//!   secondary indexes for selection;
-//! * selection / projection / equijoin primitives used by the workload
-//!   generators and benchmarks;
-//! * conversion to and from the `rtx-relational` [`Instance`](rtx_relational::Instance) type, which is
-//!   what the transducer runtime consumes at each step;
-//! * a write-ahead [`Journal`] (append-only operation log) with replay and
-//!   absolute base offsets that survive truncation;
-//! * a bridge to the resident runtime ([`Store::to_resident`] +
-//!   [`ResidentSync`]): the catalog becomes a version-stamped
-//!   [`ResidentDb`](rtx_datalog::ResidentDb) shared by every session, and
-//!   journal replay keeps it current with per-relation version bumps;
-//! * a crash-safe durable layer ([`DurableStore`]) over a pluggable storage
-//!   backend ([`Vfs`]), with deterministic fault injection ([`FaultVfs`])
-//!   for testing recovery.
+//! * `catalog` — [`Store`]: named tables of fixed arity whose rows live in
+//!   that database, and the count of operations that changed it;
+//! * `journal` — the WAL's on-disk format: checksummed operation records
+//!   and the parser that tells a torn tail from corruption;
+//! * `durable` — [`DurableStore`]: fsync policy, snapshots and recovery;
+//! * `resident` — [`Store::to_resident`] and [`ResidentSync`], shims that
+//!   copy the catalog into a *second* resident database;
+//! * `vfs` — the storage backends ([`Vfs`]), with deterministic fault
+//!   injection ([`FaultVfs`]) for testing recovery.
 //!
 //! # Durability lifecycle
 //!
 //! The durable layer persists the store as **one snapshot plus a WAL tail**,
 //! moving through a fixed lifecycle:
 //!
-//! 1. **Append** — every mutation is encoded as a length-prefixed,
-//!    CRC32-checksummed record and appended to the on-disk WAL *before* it is
-//!    applied to the in-memory catalog (write-ahead ordering).  Interned
-//!    symbols cross this boundary by text, so a recovering process (with an
-//!    empty [`SymbolTable`](rtx_relational::SymbolTable)) re-interns them.
+//! 1. **Append** — every mutation is validated against the catalog, encoded
+//!    as a length-prefixed, CRC32-checksummed record and appended to the
+//!    on-disk WAL, and only then applied to the resident database
+//!    (write-ahead ordering).  Operations that would change nothing are
+//!    never logged.  Interned symbols cross this boundary by text, so a
+//!    recovering process (with an empty
+//!    [`SymbolTable`](rtx_relational::SymbolTable)) re-interns them.
 //! 2. **Fsync policy** — [`FsyncPolicy`] decides when appended records become
 //!    durable: `Always` (fsync per commit), `EveryN` (group commit), or
 //!    `Never` (leave it to the OS).  The `RTX_FSYNC` environment variable
@@ -44,16 +39,16 @@
 //! 3. **Snapshot** — [`DurableStore::checkpoint`] writes the whole catalog to
 //!    a temp file, fsyncs it, and atomically renames it into place.  The
 //!    snapshot records the absolute operation count it captures.
-//! 4. **Truncate** — only after the snapshot is durable is the WAL reset (new
-//!    epoch, base offset = snapshot's operation count) and the in-memory
-//!    [`Journal`] cleared.  [`Journal::clear`] advances a monotone base
-//!    offset, so [`ResidentSync`] cursors holding absolute positions resume
-//!    correctly after truncation.
-//! 5. **Recover** — [`DurableStore::open`] loads the latest valid snapshot
-//!    and replays the WAL tail.  A torn final record (the classic
-//!    half-written append at the crash point) is detected by length/CRC
-//!    mismatch and dropped with a note in the [`RecoveryReport`]; corruption
-//!    *before* the tail is a hard [`StoreError::Corrupt`] with a byte offset.
+//! 4. **Truncate** — only after the snapshot is durable is the WAL reset to
+//!    a new epoch whose base offset is the snapshot's operation count.
+//!    Nothing is held in memory besides the catalog, so nothing else is
+//!    cleared.
+//! 5. **Recover** — [`DurableStore::open`] loads the latest valid snapshot,
+//!    building each relation once from its rows, and replays the WAL tail.
+//!    A torn final record (the classic half-written append at the crash
+//!    point) is detected by length/CRC mismatch and dropped with a note in
+//!    the [`RecoveryReport`]; corruption *before* the tail is a hard
+//!    [`StoreError::Corrupt`] with a byte offset.
 //!
 //! Recovery is exercised by a deterministic fault-injection harness
 //! ([`FaultVfs`]) that crashes the storage backend at the k-th I/O operation;
@@ -67,14 +62,14 @@ mod catalog;
 mod durable;
 mod journal;
 mod resident;
+#[cfg(test)]
 mod table;
 mod vfs;
 
-pub use catalog::{Catalog, Store};
-pub use durable::{DurableStore, FsyncPolicy, RecoveryReport, TornTail};
-pub use journal::{Journal, Operation};
+pub use catalog::Store;
+pub use durable::{DurableStore, FsyncPolicy, RecoveryReport};
+pub use journal::TornTail;
 pub use resident::ResidentSync;
-pub use table::Table;
 pub use vfs::{Fault, FaultVfs, MemVfs, StdVfs, Vfs, VfsFile};
 
 /// Errors produced by the store.
@@ -84,7 +79,7 @@ pub enum StoreError {
     UnknownTable(String),
     /// A table was created twice.
     DuplicateTable(String),
-    /// A row of the wrong arity was inserted.
+    /// A row of the wrong arity was inserted or retracted.
     ArityMismatch {
         /// The table involved.
         table: String,
@@ -92,13 +87,6 @@ pub enum StoreError {
         expected: usize,
         /// Offending row arity.
         actual: usize,
-    },
-    /// A column index was out of range.
-    ColumnOutOfRange {
-        /// The table involved.
-        table: String,
-        /// The offending column index.
-        column: usize,
     },
     /// An error from the relational layer.
     Relational(rtx_relational::RelationalError),
@@ -120,16 +108,6 @@ pub enum StoreError {
         offset: u64,
         /// What the validator expected vs. what it found.
         reason: String,
-    },
-    /// A [`ResidentSync`] cursor points below the journal's base offset —
-    /// the operations it still needed were truncated away before it synced
-    /// them.  The cursor holder must rebuild its resident database from a
-    /// fresh [`Store::to_resident`].
-    JournalTruncated {
-        /// The cursor's absolute position.
-        applied: usize,
-        /// The journal's base offset (first operation still buffered).
-        base: usize,
     },
     /// A malformed configuration override (e.g. an unparseable `RTX_FSYNC`
     /// value).  Never produced for an *unset* variable — only a set value
@@ -154,18 +132,11 @@ impl std::fmt::Display for StoreError {
                 f,
                 "arity mismatch for table `{table}`: expected {expected}, got {actual}"
             ),
-            StoreError::ColumnOutOfRange { table, column } => {
-                write!(f, "column {column} out of range for table `{table}`")
-            }
             StoreError::Relational(e) => write!(f, "relational error: {e}"),
             StoreError::Io { context } => write!(f, "i/o error: {context}"),
             StoreError::Corrupt { offset, reason } => {
                 write!(f, "corrupt store data at byte {offset}: {reason}")
             }
-            StoreError::JournalTruncated { applied, base } => write!(
-                f,
-                "journal truncated past cursor: applied {applied} < base {base}"
-            ),
             StoreError::Config { detail } => write!(f, "configuration error: {detail}"),
         }
     }
@@ -202,12 +173,14 @@ mod tests {
                 Tuple::from_iter(vec![Value::str("newsweek"), Value::int(845)]),
             )
             .unwrap();
-        let rows = store.select_eq("price", 0, &Value::str("time")).unwrap();
+        let instance = store.snapshot();
+        let price = instance.relation("price").unwrap();
+        assert_eq!(price.len(), 2);
+        let time = [Value::str("time")];
+        let rows: Vec<_> = price.scan_prefix(&time).collect();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(1), Some(&Value::int(855)));
-
-        let instance = store.to_instance().unwrap();
-        assert_eq!(instance.relation("price").unwrap().len(), 2);
+        assert_eq!(store.op_count(), 3);
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! Bridge from the stored catalog to a resident transducer database.
+//! Copies of the catalog in a second resident database: compatibility shims.
 //!
-//! A deployed transducer runtime does not want to re-materialise the whole
-//! catalog ([`Store::to_instance`]) before every run: it wants the catalog
-//! **resident** — prepared once as a [`ResidentDb`], shared by every session,
-//! with changes flowing through incrementally.  The store's write-ahead
-//! [`Journal`](crate::Journal) is exactly the right change feed: every
-//! mutation is already an append-only operation, so keeping a resident
-//! database current is a matter of replaying the journal suffix it has not
-//! seen yet.  Each replayed insert or retraction bumps only the touched
-//! relation's version stamp, which is what lets the resident database
-//! invalidate indexes (and sessions invalidate step caches) per relation
-//! instead of wholesale.
+//! A [`Store`]'s catalog already *is* a [`ResidentDb`]
+//! ([`Store::database`]), and a runtime serving that same `Arc` needs nothing
+//! from this module.  [`Store::to_resident`] and [`ResidentSync`] remain for
+//! callers that keep a database of their own beside the store.  The copy is
+//! cheap: relations are shared copy-on-write, and a sync replaces exactly the
+//! relations whose version stamps moved, bumping only their stamps in the
+//! target.
 //!
 //! ```
 //! use rtx_store::{ResidentSync, Store};
@@ -22,7 +18,7 @@
 //!     .insert("price", Tuple::new(vec![Value::str("time"), Value::int(855)]))
 //!     .unwrap();
 //!
-//! // Make the catalog resident once…
+//! // Copy the catalog into a database of its own once…
 //! let (resident, mut sync) = store.to_resident().unwrap();
 //! let v0 = resident.version();
 //!
@@ -31,100 +27,79 @@
 //!     .insert("price", Tuple::new(vec![Value::str("lemonde"), Value::int(8350)]))
 //!     .unwrap();
 //!
-//! // …and drive the journal suffix into the resident database.
+//! // …and bring the copy up to date: one operation since the last sync.
 //! assert_eq!(sync.sync(&store, &resident).unwrap(), 1);
 //! assert!(resident.version() > v0);
 //! assert_eq!(resident.snapshot().relation("price").unwrap().len(), 2);
 //! ```
 
-use crate::{Operation, Store, StoreError};
+use crate::{Store, StoreError};
 use rtx_datalog::ResidentDb;
 
-/// A cursor over a store's journal tracking how far a [`ResidentDb`] has
-/// been synchronised — obtained from [`Store::to_resident`].
+/// How far a copy of a store's catalog has been brought up to date —
+/// obtained from [`Store::to_resident`].
 ///
-/// The position is an **absolute** operation index (see
-/// [`Journal::base`](crate::Journal::base)): it stays meaningful when the journal is
-/// truncated after a snapshot, because truncation advances the journal's
-/// base offset instead of renumbering the surviving operations.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A compatibility shim for the traced pass of the `rtx-ledger` benchmark,
+/// which keeps a database of its own beside the store so that the store
+/// apply and the copy are timed as separate spans.  Everything else serves
+/// [`Store::database`] directly and needs no copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResidentSync {
+    /// The store's operation count at the last sync.
     applied: usize,
+    /// The catalog's version at the last sync.
+    version: u64,
 }
 
 impl ResidentSync {
-    /// A cursor that has applied the journal operations with absolute index
-    /// below `applied`.
-    pub fn at(applied: usize) -> Self {
-        ResidentSync { applied }
-    }
-
-    /// Absolute index of the next journal operation to apply (equivalently:
-    /// the number of operations ever journaled that this cursor has seen).
+    /// The store's operation count at the last sync: how many operations
+    /// the copy reflects.
     pub fn applied(&self) -> usize {
         self.applied
     }
 
-    /// Replays the journal suffix this cursor has not seen into `resident`:
-    /// `CreateTable` grows the resident schema, `Insert` adds the row and
-    /// `Retract` removes it, each bumping the touched relation's version
-    /// stamp.  Returns the number of operations applied.
-    ///
-    /// The journal never records duplicate inserts or retractions of absent
-    /// rows, so replay against a resident database built from the same
-    /// store is change-for-change: a no-op suffix leaves every version
-    /// stamp (and therefore every index and session cache) untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::JournalTruncated`] if the journal was cleared
-    /// past this cursor's position — operations this cursor still needed are
-    /// gone, so the resident database can no longer be brought current
-    /// incrementally and must be rebuilt via [`Store::to_resident`].
+    /// Brings `resident` up to date with `store`: every catalog relation
+    /// whose version stamp moved since the last sync replaces its copy (an
+    /// `Arc` clone, bumping that relation's stamp in `resident`).  Returns
+    /// the number of operations the store applied since the last sync; a
+    /// checkpoint in between changes neither.
     pub fn sync(&mut self, store: &Store, resident: &ResidentDb) -> Result<usize, StoreError> {
-        let journal = store.journal();
-        if self.applied < journal.base() {
-            return Err(StoreError::JournalTruncated {
-                applied: self.applied,
-                base: journal.base(),
-            });
-        }
-        let operations = journal.operations();
-        let start = (self.applied - journal.base()).min(operations.len());
-        let pending = &operations[start..];
-        for op in pending {
-            match op {
-                Operation::CreateTable { name, arity, .. } => {
-                    resident.ensure_relation(name.as_str(), *arity)?;
-                }
-                Operation::Insert { table, row } => {
-                    resident.insert(table.as_str(), row.clone())?;
-                }
-                Operation::Retract { table, row } => {
-                    resident.retract(table.as_str(), row)?;
+        let db = store.database();
+        let version = db.version();
+        if version != self.version {
+            for (name, relation) in db.snapshot().iter() {
+                if db.version_of(name) > self.version {
+                    resident.replace_relation(name, relation.clone());
                 }
             }
+            self.version = version;
         }
-        let applied = pending.len();
-        self.applied = journal.end();
+        let applied = store.op_count() - self.applied;
+        self.applied = store.op_count();
         Ok(applied)
     }
 }
 
 impl Store {
-    /// Makes the catalog resident: a [`ResidentDb`] holding every table as a
-    /// copy-on-write relation, plus a [`ResidentSync`] cursor positioned at
-    /// the current journal head so later writes replay incrementally.
+    /// Copies the catalog into a [`ResidentDb`] of its own (relations shared
+    /// copy-on-write, so O(#tables)), plus a [`ResidentSync`] cursor for
+    /// bringing the copy up to date.  A compatibility shim like
+    /// [`ResidentSync`]: a runtime can serve [`Store::database`] itself.
     pub fn to_resident(&self) -> Result<(ResidentDb, ResidentSync), StoreError> {
-        let resident = ResidentDb::new(self.to_instance()?);
-        Ok((resident, ResidentSync::at(self.journal().end())))
+        let sync = ResidentSync {
+            applied: self.op_count(),
+            version: self.database().version(),
+        };
+        Ok((ResidentDb::new(self.snapshot()), sync))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DurableStore, FsyncPolicy, MemVfs};
     use rtx_relational::{RelationName, Tuple, Value};
+    use std::sync::Arc;
 
     fn store() -> Store {
         let mut s = Store::new();
@@ -141,8 +116,8 @@ mod tests {
     fn to_resident_snapshots_the_catalog() {
         let s = store();
         let (resident, sync) = s.to_resident().unwrap();
-        assert_eq!(sync.applied(), s.journal().len());
-        assert_eq!(resident.snapshot(), s.to_instance().unwrap());
+        assert_eq!(sync.applied(), s.op_count());
+        assert_eq!(resident.snapshot(), s.snapshot());
     }
 
     #[test]
@@ -165,8 +140,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sync.sync(&s, &resident).unwrap(), 3);
-        assert_eq!(resident.snapshot(), s.to_instance().unwrap());
-        assert_eq!(sync.applied(), s.journal().len());
+        assert_eq!(resident.snapshot(), s.snapshot());
+        assert_eq!(sync.applied(), s.op_count());
     }
 
     #[test]
@@ -219,11 +194,10 @@ mod tests {
         .unwrap();
         assert_eq!(sync.sync(&s, &resident).unwrap(), 5);
 
-        // The synchronised resident database is byte-identical to one built
-        // from the final store state, and to one built by replaying the
-        // whole journal from scratch.
-        assert_eq!(resident.snapshot(), s.to_instance().unwrap());
-        let (fresh, _) = Store::replay(s.journal()).unwrap().to_resident().unwrap();
+        // The synchronised resident database is identical to one built from
+        // the final store state, and to one made resident afresh.
+        assert_eq!(resident.snapshot(), s.snapshot());
+        let (fresh, _) = Store::from_instance(&s.snapshot()).to_resident().unwrap();
         assert_eq!(resident.snapshot(), fresh.snapshot());
 
         // Retractions bump versions like inserts do: a session watching
@@ -237,56 +211,58 @@ mod tests {
         .unwrap();
         sync.sync(&s, &resident).unwrap();
         assert!(resident.version_of(&price) > before);
-        assert_eq!(resident.snapshot(), s.to_instance().unwrap());
+        assert_eq!(resident.snapshot(), s.snapshot());
     }
 
     #[test]
     fn sync_survives_journal_truncation() {
-        // Regression test for the `Journal::clear`/`ResidentSync` desync:
-        // `applied` is an absolute count, so truncating the journal after a
-        // snapshot used to make the next sync silently re-slice from a stale
-        // relative index.  With the monotone base offset, a cursor that was
-        // current at truncation time resumes exactly at the new writes.
-        let mut s = store();
-        let (resident, mut sync) = s.to_resident().unwrap();
-        assert_eq!(sync.sync(&s, &resident).unwrap(), 0);
+        // The cursor counts operations, not buffered journal entries, so a
+        // checkpoint between two syncs (which resets the WAL) changes
+        // nothing: the sync after it carries exactly the writes since the
+        // last one.
+        let vfs = MemVfs::new();
+        let (mut d, _) = DurableStore::open(Arc::new(vfs), FsyncPolicy::Never).unwrap();
+        d.create_table("price", 2, None).unwrap();
+        let (resident, mut sync) = d.store().to_resident().unwrap();
+        assert_eq!(sync.sync(d.store(), &resident).unwrap(), 0);
 
-        // Snapshot point: drop the buffered operations.
-        let end_before = s.journal().end();
-        s.journal_mut().clear();
-        assert_eq!(s.journal().base(), end_before);
-
-        // The cursor is *not* desynchronized: nothing pending, and new
-        // writes after truncation flow through exactly once.
-        assert_eq!(sync.sync(&s, &resident).unwrap(), 0);
-        s.insert(
+        d.insert(
+            "price",
+            Tuple::new(vec![Value::str("time"), Value::int(855)]),
+        )
+        .unwrap();
+        d.checkpoint().unwrap();
+        d.insert(
             "price",
             Tuple::new(vec![Value::str("lemonde"), Value::int(8350)]),
         )
         .unwrap();
-        assert_eq!(sync.sync(&s, &resident).unwrap(), 1);
-        assert_eq!(resident.snapshot(), s.to_instance().unwrap());
-        assert_eq!(sync.applied(), s.journal().end());
+        assert_eq!(sync.sync(d.store(), &resident).unwrap(), 2);
+        assert_eq!(resident.snapshot(), d.store().snapshot());
+        assert_eq!(sync.applied(), d.store().op_count());
 
-        // A cursor left *behind* the truncation point cannot resume — the
-        // operations it needed are gone.  That is a hard, typed error, not a
-        // silent partial replay.
-        let mut stale = ResidentSync::at(0);
-        assert_eq!(
-            stale.sync(&s, &resident),
-            Err(StoreError::JournalTruncated {
-                applied: 0,
-                base: end_before,
-            })
-        );
+        d.checkpoint().unwrap();
+        let v = resident.version();
+        assert_eq!(sync.sync(d.store(), &resident).unwrap(), 0);
+        assert_eq!(resident.version(), v);
     }
 
     #[test]
     fn replaying_a_rebuilt_store_from_scratch_matches() {
         let s = store();
-        let replayed = Store::replay(s.journal()).unwrap();
+        let vfs = MemVfs::new();
+        let (mut d, _) = DurableStore::open(Arc::new(vfs.clone()), FsyncPolicy::Always).unwrap();
+        for (name, relation) in s.snapshot().iter() {
+            d.create_table(name.as_str(), relation.arity(), None)
+                .unwrap();
+            for row in relation.iter() {
+                d.insert(name.as_str(), row.clone()).unwrap();
+            }
+        }
+        drop(d);
+        let (replayed, _) = DurableStore::open(Arc::new(vfs), FsyncPolicy::Always).unwrap();
         let (resident, _) = s.to_resident().unwrap();
-        let (from_replay, _) = replayed.to_resident().unwrap();
+        let (from_replay, _) = replayed.store().to_resident().unwrap();
         assert_eq!(resident.snapshot(), from_replay.snapshot());
     }
 }

@@ -1,381 +1,164 @@
-//! Hash-indexed tables.
-
-use crate::StoreError;
-use rtx_relational::{FxHashMap, Tuple, Value};
-use std::collections::{BTreeMap, HashSet};
-
-/// A single table: rows of a fixed arity with a primary hash index (for O(1)
-/// duplicate detection) and lazily maintained per-column secondary indexes.
-#[derive(Debug, Clone, Default)]
-pub struct Table {
-    name: String,
-    arity: usize,
-    attributes: Option<Vec<String>>,
-    rows: Vec<Tuple>,
-    primary: HashSet<Tuple>,
-    /// column → (value → row indexes)
-    secondary: BTreeMap<usize, FxHashMap<Value, Vec<usize>>>,
-}
-
-impl Table {
-    /// Creates an empty table.
-    pub fn new(name: impl Into<String>, arity: usize, attributes: Option<Vec<String>>) -> Self {
-        Table {
-            name: name.into(),
-            arity,
-            attributes,
-            rows: Vec::new(),
-            primary: HashSet::new(),
-            secondary: BTreeMap::new(),
-        }
-    }
-
-    /// The table name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The table arity.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// Optional attribute names.
-    pub fn attributes(&self) -> Option<&[String]> {
-        self.attributes.as_deref()
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Inserts a row; duplicate rows are ignored (set semantics).  Returns
-    /// whether the row was new.
-    pub fn insert(&mut self, row: Tuple) -> Result<bool, StoreError> {
-        if row.arity() != self.arity {
-            return Err(StoreError::ArityMismatch {
-                table: self.name.clone(),
-                expected: self.arity,
-                actual: row.arity(),
-            });
-        }
-        if self.primary.contains(&row) {
-            return Ok(false);
-        }
-        let row_index = self.rows.len();
-        for (column, index) in self.secondary.iter_mut() {
-            let value = *row.get(*column).expect("arity checked");
-            index.entry(value).or_default().push(row_index);
-        }
-        self.primary.insert(row.clone());
-        self.rows.push(row);
-        Ok(true)
-    }
-
-    /// Removes a row, maintaining every secondary index.  Returns whether
-    /// the row was present (removing an absent row is a no-op, mirroring
-    /// [`Table::insert`]'s set semantics).  Costs one scan to locate the
-    /// row slot plus O(indexes) bucket surgery — rows are stored unordered,
-    /// so the vacated slot is filled by the last row and that row's index
-    /// entries are repointed.
-    pub fn remove(&mut self, row: &Tuple) -> Result<bool, StoreError> {
-        if row.arity() != self.arity {
-            return Err(StoreError::ArityMismatch {
-                table: self.name.clone(),
-                expected: self.arity,
-                actual: row.arity(),
-            });
-        }
-        if !self.primary.remove(row) {
-            return Ok(false);
-        }
-        let pos = self
-            .rows
-            .iter()
-            .position(|r| r == row)
-            .expect("primary and rows agree");
-        let last = self.rows.len() - 1;
-        for (column, index) in self.secondary.iter_mut() {
-            let value = *row.get(*column).expect("arity checked");
-            if let Some(bucket) = index.get_mut(&value) {
-                bucket.retain(|&i| i != pos);
-                if bucket.is_empty() {
-                    index.remove(&value);
-                }
-            }
-        }
-        self.rows.swap_remove(pos);
-        // The former last row (if any) moved into `pos`: repoint its entries.
-        if pos != last {
-            let moved = self.rows[pos].clone();
-            for (column, index) in self.secondary.iter_mut() {
-                let value = *moved.get(*column).expect("arity checked");
-                if let Some(bucket) = index.get_mut(&value) {
-                    for i in bucket.iter_mut() {
-                        if *i == last {
-                            *i = pos;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(true)
-    }
-
-    /// True if the row is present.
-    pub fn contains(&self, row: &Tuple) -> bool {
-        self.primary.contains(row)
-    }
-
-    /// Iterates over all rows (full scan).
-    pub fn scan(&self) -> impl Iterator<Item = &Tuple> {
-        self.rows.iter()
-    }
-
-    /// Builds (if necessary) the secondary index on a column.
-    pub fn build_index(&mut self, column: usize) -> Result<(), StoreError> {
-        if column >= self.arity {
-            return Err(StoreError::ColumnOutOfRange {
-                table: self.name.clone(),
-                column,
-            });
-        }
-        if self.secondary.contains_key(&column) {
-            return Ok(());
-        }
-        let mut index: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
-        for (i, row) in self.rows.iter().enumerate() {
-            index
-                .entry(*row.get(column).expect("arity checked"))
-                .or_default()
-                .push(i);
-        }
-        self.secondary.insert(column, index);
-        Ok(())
-    }
-
-    /// True if a secondary index exists on the column.
-    pub fn has_index(&self, column: usize) -> bool {
-        self.secondary.contains_key(&column)
-    }
-
-    /// Selects the rows whose `column` equals `value`, using the secondary
-    /// index when available, otherwise a full scan.
-    pub fn select_eq(&self, column: usize, value: &Value) -> Result<Vec<Tuple>, StoreError> {
-        if column >= self.arity {
-            return Err(StoreError::ColumnOutOfRange {
-                table: self.name.clone(),
-                column,
-            });
-        }
-        if let Some(index) = self.secondary.get(&column) {
-            return Ok(index
-                .get(value)
-                .map(|ids| ids.iter().map(|&i| self.rows[i].clone()).collect())
-                .unwrap_or_default());
-        }
-        Ok(self
-            .rows
-            .iter()
-            .filter(|row| row.get(column) == Some(value))
-            .cloned()
-            .collect())
-    }
-
-    /// Projects every row onto the given columns.
-    pub fn project(&self, columns: &[usize]) -> Result<Vec<Tuple>, StoreError> {
-        for &c in columns {
-            if c >= self.arity {
-                return Err(StoreError::ColumnOutOfRange {
-                    table: self.name.clone(),
-                    column: c,
-                });
-            }
-        }
-        Ok(self
-            .rows
-            .iter()
-            .map(|row| row.project(columns).expect("columns checked"))
-            .collect())
-    }
-
-    /// Hash equijoin with another table on `self.column == other.column`.
-    /// Returns concatenated rows.
-    pub fn join_eq(
-        &self,
-        own_column: usize,
-        other: &Table,
-        other_column: usize,
-    ) -> Result<Vec<Tuple>, StoreError> {
-        if own_column >= self.arity {
-            return Err(StoreError::ColumnOutOfRange {
-                table: self.name.clone(),
-                column: own_column,
-            });
-        }
-        if other_column >= other.arity {
-            return Err(StoreError::ColumnOutOfRange {
-                table: other.name.clone(),
-                column: other_column,
-            });
-        }
-        // Build a hash map on the smaller side.
-        let mut by_value: FxHashMap<&Value, Vec<&Tuple>> = FxHashMap::default();
-        for row in &other.rows {
-            by_value
-                .entry(row.get(other_column).expect("arity checked"))
-                .or_default()
-                .push(row);
-        }
-        let mut out = Vec::new();
-        for row in &self.rows {
-            let key = row.get(own_column).expect("arity checked");
-            if let Some(matches) = by_value.get(key) {
-                for m in matches {
-                    out.push(row.concat(m));
-                }
-            }
-        }
-        Ok(out)
-    }
-}
+//! Row-level behaviour of the store's tables: set semantics, arity checks,
+//! retraction, and selections, projections and joins evaluated over the
+//! catalog with and without prepared indexes.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Store, StoreError};
+    use rtx_datalog::{parse_program, CompiledProgram};
+    use rtx_relational::{Instance, RelationName, Tuple, Value};
 
-    fn price_table() -> Table {
-        let mut t = Table::new("price", 2, Some(vec!["product".into(), "amount".into()]));
-        t.insert(Tuple::from_iter(vec![Value::str("time"), Value::int(855)]))
+    fn price(product: &str, amount: i64) -> Tuple {
+        Tuple::from_iter(vec![Value::str(product), Value::int(amount)])
+    }
+
+    fn price_store() -> Store {
+        let mut s = Store::new();
+        s.create_table("price", 2, Some(vec!["product".into(), "amount".into()]))
             .unwrap();
-        t.insert(Tuple::from_iter(vec![
-            Value::str("newsweek"),
-            Value::int(845),
-        ]))
-        .unwrap();
-        t.insert(Tuple::from_iter(vec![
-            Value::str("lemonde"),
-            Value::int(8350),
-        ]))
-        .unwrap();
-        t
+        for (p, amount) in [("time", 855), ("newsweek", 845), ("lemonde", 8350)] {
+            s.insert("price", price(p, amount)).unwrap();
+        }
+        s
+    }
+
+    fn compile(text: &str) -> CompiledProgram {
+        CompiledProgram::compile(&parse_program(text).unwrap()).unwrap()
+    }
+
+    /// `program` over the catalog's resident database, through the indexes
+    /// it prepares.
+    fn query(store: &Store, program: &CompiledProgram) -> Instance {
+        program.evaluate_resident(&[], store.database()).unwrap().0
+    }
+
+    /// `program` over a plain snapshot of the catalog: no prepared index.
+    fn query_unprepared(store: &Store, program: &CompiledProgram) -> Instance {
+        program.evaluate(&[&store.snapshot()]).unwrap().0
+    }
+
+    fn holds(store: &Store, row: &Tuple) -> bool {
+        store.database().contains(&RelationName::new("price"), row)
     }
 
     #[test]
     fn insert_is_set_semantics_and_checks_arity() {
-        let mut t = price_table();
-        assert_eq!(t.len(), 3);
-        assert!(!t
-            .insert(Tuple::from_iter(vec![Value::str("time"), Value::int(855)]))
-            .unwrap());
-        assert_eq!(t.len(), 3);
+        let mut s = price_store();
+        assert_eq!(s.op_count(), 4);
+        assert!(!s.insert("price", price("time", 855)).unwrap());
+        assert_eq!(s.op_count(), 4);
+        assert_eq!(s.snapshot().relation("price").unwrap().len(), 3);
         assert!(matches!(
-            t.insert(Tuple::from_iter(vec![Value::str("x")])),
-            Err(StoreError::ArityMismatch { .. })
+            s.insert("price", Tuple::from_iter(vec![Value::str("x")])),
+            Err(StoreError::ArityMismatch {
+                expected: 2,
+                actual: 1,
+                ..
+            })
         ));
-        assert!(t.contains(&Tuple::from_iter(vec![Value::str("time"), Value::int(855)])));
-        assert!(!t.is_empty());
-        assert_eq!(t.name(), "price");
-        assert_eq!(t.arity(), 2);
-        assert_eq!(t.attributes().unwrap().len(), 2);
+        assert!(holds(&s, &price("time", 855)));
+        assert_eq!(s.database().schema().arity_of("price"), Some(2));
+        let price = s.tables().find(|t| t.name.as_str() == "price").unwrap();
+        assert_eq!(price.attributes.as_ref().map(Vec::len), Some(2));
     }
 
     #[test]
     fn remove_maintains_rows_primary_and_indexes() {
-        let mut t = price_table();
-        t.build_index(0).unwrap();
+        let mut s = price_store();
+        // Probing `price` on its second column prepares a hash index.
+        let at = compile("hit(P) :- price(P, 855).");
+        assert_eq!(query(&s, &at).relation("hit").unwrap().len(), 1);
+        assert_eq!(s.database().index_count(), 1);
 
         // Absent rows and arity mismatches mirror insert's behaviour.
-        assert!(!t
-            .remove(&Tuple::from_iter(vec![
-                Value::str("economist"),
-                Value::int(1)
-            ]))
-            .unwrap());
+        assert!(!s.retract("price", &price("economist", 1)).unwrap());
         assert!(matches!(
-            t.remove(&Tuple::from_iter(vec![Value::str("x")])),
+            s.retract("price", &Tuple::from_iter(vec![Value::str("x")])),
             Err(StoreError::ArityMismatch { .. })
         ));
+        assert_eq!(s.op_count(), 4);
 
-        // Remove a row that is not last: the swapped row's index entries
-        // must be repointed, and every probe must stay consistent.
-        let time = Tuple::from_iter(vec![Value::str("time"), Value::int(855)]);
-        assert!(t.remove(&time).unwrap());
-        assert_eq!(t.len(), 2);
-        assert!(!t.contains(&time));
-        assert!(t.select_eq(0, &Value::str("time")).unwrap().is_empty());
-        assert_eq!(t.select_eq(0, &Value::str("lemonde")).unwrap().len(), 1);
-        assert_eq!(t.select_eq(0, &Value::str("newsweek")).unwrap().len(), 1);
+        // A removal reaches the rows, the membership test and the index.
+        let time = price("time", 855);
+        assert!(s.retract("price", &time).unwrap());
+        assert_eq!(s.snapshot().relation("price").unwrap().len(), 2);
+        assert!(!holds(&s, &time));
+        assert!(query(&s, &at).relation("hit").unwrap().is_empty());
 
         // Remove-then-reinsert round-trips.
-        t.insert(time.clone()).unwrap();
-        assert_eq!(t.select_eq(0, &Value::str("time")).unwrap().len(), 1);
+        s.insert("price", time.clone()).unwrap();
+        assert_eq!(query(&s, &at).relation("hit").unwrap().len(), 1);
 
-        // Draining the table empties every bucket.
-        for row in t.scan().cloned().collect::<Vec<_>>() {
-            assert!(t.remove(&row).unwrap());
+        // Draining the table empties every probe.
+        for row in s.snapshot().relation("price").unwrap().iter() {
+            assert!(s.retract("price", row).unwrap());
         }
-        assert!(t.is_empty());
-        assert!(t.select_eq(0, &Value::str("lemonde")).unwrap().is_empty());
+        assert!(s.snapshot().relation("price").unwrap().is_empty());
+        assert!(query(&s, &at).relation("hit").unwrap().is_empty());
+        assert_eq!(s.op_count(), 4 + 1 + 1 + 3);
     }
 
     #[test]
     fn select_with_and_without_index_agree() {
-        let mut t = price_table();
-        let unindexed = t.select_eq(0, &Value::str("time")).unwrap();
-        t.build_index(0).unwrap();
-        assert!(t.has_index(0));
-        let indexed = t.select_eq(0, &Value::str("time")).unwrap();
+        let mut s = price_store();
+        let select = compile("hit(P) :- price(P, 855).");
+        let unindexed = query_unprepared(&s, &select);
+        let indexed = query(&s, &select);
+        assert_eq!(s.database().index_count(), 1);
         assert_eq!(unindexed, indexed);
-        assert_eq!(indexed.len(), 1);
-        // index is maintained by later inserts
-        t.insert(Tuple::from_iter(vec![Value::str("time"), Value::int(900)]))
-            .unwrap();
-        assert_eq!(t.select_eq(0, &Value::str("time")).unwrap().len(), 2);
-        // missing value
-        assert!(t.select_eq(0, &Value::str("economist")).unwrap().is_empty());
+        assert_eq!(indexed.relation("hit").unwrap().len(), 1);
+        // The prepared index follows later inserts.
+        s.insert("price", price("herald", 855)).unwrap();
+        let indexed = query(&s, &select);
+        assert_eq!(indexed.relation("hit").unwrap().len(), 2);
+        assert_eq!(query_unprepared(&s, &select), indexed);
+        // A value no row holds selects nothing.
+        let missing = compile("hit(P) :- price(P, 1).");
+        assert!(query(&s, &missing).relation("hit").unwrap().is_empty());
     }
 
     #[test]
     fn column_bounds_are_checked() {
-        let mut t = price_table();
-        assert!(matches!(
-            t.select_eq(5, &Value::int(1)),
-            Err(StoreError::ColumnOutOfRange { .. })
-        ));
-        assert!(t.build_index(7).is_err());
-        assert!(t.project(&[0, 9]).is_err());
+        let mut s = price_store();
+        let wide = Tuple::from_iter(vec![Value::str("time"), Value::int(855), Value::int(1)]);
+        for result in [s.insert("price", wide.clone()), s.retract("price", &wide)] {
+            assert_eq!(
+                result,
+                Err(StoreError::ArityMismatch {
+                    table: "price".into(),
+                    expected: 2,
+                    actual: 3,
+                })
+            );
+        }
+        assert_eq!(
+            s.insert("nope", wide),
+            Err(StoreError::UnknownTable("nope".into()))
+        );
+        assert_eq!(s.op_count(), 4);
     }
 
     #[test]
     fn projection() {
-        let t = price_table();
-        let products = t.project(&[0]).unwrap();
+        let s = price_store();
+        let products = query(&s, &compile("product(P) :- price(P, A)."));
+        let products = products.relation("product").unwrap();
         assert_eq!(products.len(), 3);
         assert!(products.contains(&Tuple::from_iter(vec![Value::str("lemonde")])));
     }
 
     #[test]
     fn hash_join() {
-        let prices = price_table();
-        let mut orders = Table::new("order", 1, None);
-        orders
-            .insert(Tuple::from_iter(vec![Value::str("time")]))
-            .unwrap();
-        orders
-            .insert(Tuple::from_iter(vec![Value::str("economist")]))
-            .unwrap();
-        let joined = orders.join_eq(0, &prices, 0).unwrap();
-        assert_eq!(joined.len(), 1);
-        assert_eq!(joined[0].arity(), 3);
-        assert_eq!(joined[0].get(2), Some(&Value::int(855)));
-        assert!(orders.join_eq(3, &prices, 0).is_err());
-        assert!(orders.join_eq(0, &prices, 9).is_err());
+        let mut s = price_store();
+        s.create_table("order", 1, None).unwrap();
+        for p in ["time", "economist"] {
+            s.insert("order", Tuple::from_iter([p])).unwrap();
+        }
+        let join = compile("bill(P, A) :- order(P), price(P, A).");
+        let joined = query(&s, &join);
+        let bills = joined.relation("bill").unwrap();
+        assert_eq!(bills.len(), 1);
+        assert!(bills.contains(&price("time", 855)));
+        assert_eq!(query_unprepared(&s, &join), joined);
     }
 }

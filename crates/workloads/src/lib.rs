@@ -280,8 +280,8 @@ pub fn browse_session(n_steps: usize, n_products: usize, seed: u64) -> InstanceS
 ///
 /// Every variant names the exact `price` rows it removes and adds, so a
 /// consumer can drive any retraction-aware layer — `ResidentDb`
-/// retract/insert calls, a `DredEngine` mutation batch, or store journal
-/// records — without re-deriving the catalog state.
+/// retract/insert calls, a `DredEngine` mutation batch, or WAL records —
+/// without re-deriving the catalog state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CatalogOp {
     /// A price change: `price` loses `(product, old)` and gains
@@ -381,7 +381,7 @@ pub fn catalog_mutations(db: &Instance, n_ops: usize, seed: u64) -> Vec<CatalogO
 /// One step of a [`crash_churn`] stream — the durable-store workload.
 ///
 /// Unlike [`CatalogOp`] (which speaks `price`-row deltas), churn operations
-/// mirror the store's journal vocabulary directly: create a table, insert a
+/// mirror the store's WAL vocabulary directly: create a table, insert a
 /// row, retract a row, or cut a checkpoint.  Every `Insert` is new at that
 /// point and every `Retract` targets a live row, so applying the stream in
 /// order is change-for-change — exactly what the WAL records.

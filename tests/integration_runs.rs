@@ -3,7 +3,8 @@
 
 use rtx::core::models;
 use rtx::prelude::*;
-use rtx::store::Store;
+use rtx::store::{DurableStore, FsyncPolicy, MemVfs};
+use std::sync::Arc;
 
 #[test]
 fn figure1_exchange_end_to_end() {
@@ -88,15 +89,26 @@ fn dsl_and_builder_agree_on_short() {
 
 #[test]
 fn catalog_can_live_in_the_store_substrate() {
-    // Load the Figure 1 catalog into the relational store, journal it, replay
-    // it, and run the transducer against the replayed catalog.
+    // Load the Figure 1 catalog into the relational store through its
+    // write-ahead log, recover it from the log alone, and run the transducer
+    // against the recovered catalog.
     let db = models::figure1_database();
-    let store = Store::from_instance(&db).unwrap();
-    let replayed = Store::replay(store.journal()).unwrap();
-    assert_eq!(replayed.to_instance().unwrap(), db);
+    let vfs = MemVfs::new();
+    let (mut store, _) = DurableStore::open(Arc::new(vfs.clone()), FsyncPolicy::Never).unwrap();
+    for (name, relation) in db.iter() {
+        store
+            .create_table(name.as_str(), relation.arity(), None)
+            .unwrap();
+        for tuple in relation.iter() {
+            assert!(store.insert(name.as_str(), tuple.clone()).unwrap());
+        }
+    }
+    drop(store);
+    let (replayed, _) = DurableStore::open(Arc::new(vfs), FsyncPolicy::Never).unwrap();
+    assert_eq!(replayed.store().snapshot(), db);
 
     let run = models::short()
-        .run(&replayed.to_instance().unwrap(), &models::figure1_inputs())
+        .run(&replayed.store().snapshot(), &models::figure1_inputs())
         .unwrap();
     assert!(run.ever_outputs("deliver", &Tuple::from_iter(["time"])));
 }

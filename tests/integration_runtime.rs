@@ -259,7 +259,7 @@ fn resident_preparation_is_amortized_across_100_runs() {
     assert_eq!(resident.index_builds(), 2);
 }
 
-/// Store → resident bridge: journal replay keeps a runtime's shared database
+/// Store → resident bridge: a sync keeps a runtime's own copy of the catalog
 /// current, and sessions observe the synced rows at their next step.
 #[test]
 fn store_bridge_feeds_the_runtime() {
@@ -294,7 +294,7 @@ fn store_bridge_feeds_the_runtime() {
     let out = session.step(&order).unwrap();
     assert!(out.relation("sendbill").unwrap().is_empty());
 
-    // The catalog team prices it in the store; sync the journal suffix.
+    // The catalog team prices it in the store; sync the changed relations.
     store
         .insert(
             "price",

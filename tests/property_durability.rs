@@ -38,7 +38,7 @@ fn apply(store: &mut DurableStore, op: &ChurnOp) -> Result<(), StoreError> {
 /// operations (checkpoints are state-neutral and unjournaled).
 fn reference_states(ops: &[ChurnOp]) -> (Vec<Instance>, Vec<usize>) {
     let mut store = Store::new();
-    let mut states = vec![store.to_instance().expect("empty instance")];
+    let mut states = vec![store.snapshot()];
     let mut journaled = vec![0usize];
     let mut data_ops = 0usize;
     for op in ops {
@@ -61,7 +61,7 @@ fn reference_states(ops: &[ChurnOp]) -> (Vec<Instance>, Vec<usize>) {
             }
             ChurnOp::Checkpoint => {}
         }
-        states.push(store.to_instance().expect("instance"));
+        states.push(store.snapshot());
         journaled.push(data_ops);
     }
     (states, journaled)
@@ -128,10 +128,7 @@ fn every_crash_point_recovers_the_committed_prefix() {
             // the crash hit between persistence and acknowledgement.
             let (recovered, report) = recover(&disk, k, fault);
             torn_tails += usize::from(report.torn_tail.is_some());
-            let got = recovered
-                .store()
-                .to_instance()
-                .unwrap_or_else(|e| panic!("recovered catalog unreadable ({fault:?}, k={k}): {e}"));
+            let got = recovered.store().snapshot();
             let candidates = [acked, (acked + 1).min(ops.len())];
             let matched = candidates.iter().find(|&&m| states[m] == got);
             let m = *matched.unwrap_or_else(|| {
@@ -141,11 +138,11 @@ fn every_crash_point_recovers_the_committed_prefix() {
                     acked + 1
                 )
             });
-            // The journal's absolute numbering must agree with the prefix.
+            // The absolute operation numbering must agree with the prefix.
             assert_eq!(
-                recovered.store().journal().end(),
+                recovered.store().op_count(),
                 journaled[m],
-                "{fault:?} at I/O op {k}: journal end diverges from prefix {m}"
+                "{fault:?} at I/O op {k}: operation count diverges from prefix {m}"
             );
         }
     }
@@ -162,7 +159,7 @@ fn every_crash_point_recovers_the_committed_prefix() {
     }
     drop(store);
     let (recovered, _) = recover(&disk, total_io + 1, Fault::Crash);
-    assert_eq!(recovered.store().to_instance().unwrap(), states[ops.len()]);
+    assert_eq!(recovered.store().snapshot(), states[ops.len()]);
 }
 
 #[test]
@@ -190,7 +187,7 @@ fn group_commit_policies_recover_a_consistent_prefix() {
             }
             let (recovered, _) = DurableStore::open(Arc::new(disk.clone()), policy)
                 .unwrap_or_else(|e| panic!("recovery failed ({policy:?}, k={k}): {e}"));
-            let got = recovered.store().to_instance().unwrap();
+            let got = recovered.store().snapshot();
             assert!(
                 states.contains(&got),
                 "{policy:?} at I/O op {k}: recovered state is not a workload prefix \
@@ -225,7 +222,7 @@ fn short_reads_never_panic_and_stay_prefix_consistent() {
             Err(StoreError::Corrupt { .. }) | Err(StoreError::Io { .. }) => {}
             Err(other) => panic!("short read at op {k}: unexpected error {other:?}"),
             Ok((recovered, _)) => {
-                let got = recovered.store().to_instance().unwrap();
+                let got = recovered.store().snapshot();
                 assert!(
                     states.contains(&got),
                     "short read at op {k}: recovered state is not a workload prefix"
