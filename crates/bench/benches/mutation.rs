@@ -6,7 +6,7 @@
 //! to cost under the grow-only assumption.
 
 use criterion::{black_box, Criterion};
-use rtx::datalog::{CompiledProgram, DredEngine, MutationBatch};
+use rtx::datalog::{CompiledProgram, DredEngine, EvalBudget, MutationBatch, Parallelism};
 use rtx::prelude::*;
 
 const PRODUCTS: usize = 100_000;
@@ -90,7 +90,9 @@ fn benches(c: &mut Criterion) {
     let compiled = CompiledProgram::compile(&program).unwrap();
     group.bench_function(format!("full-reeval/products={PRODUCTS}"), |b| {
         b.iter(|| {
-            let (out, _) = compiled.evaluate(&[&db]).unwrap();
+            let (out, _) = compiled
+                .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+                .unwrap();
             black_box(out);
         });
     });

@@ -6,7 +6,7 @@
 //! scheduling differs.
 
 use criterion::{black_box, Criterion};
-use rtx::datalog::{CompiledProgram, Parallelism};
+use rtx::datalog::{CompiledProgram, EvalBudget, Parallelism};
 
 fn benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_strata");
@@ -18,14 +18,20 @@ fn benches(c: &mut Criterion) {
 
         // Sanity: the parallel arms compute exactly the sequential instance.
         let (expected, expected_stats) = compiled
-            .evaluate_resident_par(&[], &resident, Parallelism::sequential())
+            .evaluate(
+                &[],
+                Some(&resident.view_for(&compiled)),
+                Parallelism::sequential(),
+                EvalBudget::UNLIMITED,
+            )
             .unwrap();
         for threads in [2usize, 8] {
             let (out, stats) = compiled
-                .evaluate_resident_par(
+                .evaluate(
                     &[],
-                    &resident,
+                    Some(&resident.view_for(&compiled)),
                     Parallelism::threads(threads).with_threshold(256),
+                    EvalBudget::UNLIMITED,
                 )
                 .unwrap();
             assert_eq!(out, expected);
@@ -36,7 +42,12 @@ fn benches(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     compiled
-                        .evaluate_resident_par(&[], &resident, Parallelism::sequential())
+                        .evaluate(
+                            &[],
+                            Some(&resident.view_for(&compiled)),
+                            Parallelism::sequential(),
+                            EvalBudget::UNLIMITED,
+                        )
                         .unwrap(),
                 )
             });
@@ -49,7 +60,12 @@ fn benches(c: &mut Criterion) {
                     b.iter(|| {
                         black_box(
                             compiled
-                                .evaluate_resident_par(&[], &resident, policy)
+                                .evaluate(
+                                    &[],
+                                    Some(&resident.view_for(&compiled)),
+                                    policy,
+                                    EvalBudget::UNLIMITED,
+                                )
                                 .unwrap(),
                         )
                     });

@@ -14,8 +14,6 @@
 //! * `thm44_error_free` — verification over error-free runs;
 //! * `gen_language` — `Gen(T)` enumeration and DFA construction;
 //! * `datalog_eval` — naive vs. semi-naive datalog evaluation (ablation);
-//! * `multi_session` — resident vs. per-run database preparation across many
-//!   concurrent sessions over one shared catalog;
 //! * `parallel_strata` — data-parallel stratum evaluation vs. thread count;
 //! * `mutation` — delete-rederive maintenance of a 1-tuple retraction
 //!   against a 100k-product catalog vs. full re-evaluation;

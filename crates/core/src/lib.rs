@@ -48,8 +48,9 @@
 //!   ([`ShardedDurableRuntime`] is the same type).
 //!
 //! The prepare/resident lifecycle: a one-shot
-//! [`RelationalTransducer::run`] makes its database resident for the
-//! duration of the run; a service makes it resident **once**
+//! [`RelationalTransducer::run`] is the paper's §2 definition, one full
+//! evaluation of the output program per step over a plain database; a
+//! service makes its database resident **once**
 //! ([`rtx_datalog::ResidentDb`]), shares it across sessions and threads, and
 //! mutates it in place.  Mutation is first-class in both directions —
 //! `ResidentDb::insert` *and* `ResidentDb::retract` follow the same

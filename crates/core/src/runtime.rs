@@ -3,7 +3,7 @@
 //! The paper's e-commerce setting is many customers against one shared
 //! catalog, but [`RelationalTransducer::run`](crate::RelationalTransducer::run)
 //! is a one-shot API: it takes the whole input sequence up front and
-//! re-prepares the database per call.  This module is the resident-service
+//! evaluates every step from scratch.  This module is the resident-service
 //! shape of the same semantics:
 //!
 //! * a [`Runtime`] owns one [`ResidentDb`] — the catalog made resident once,
@@ -21,15 +21,15 @@
 //!   and a catalog mutation ([`ResidentDb::insert`]) is observed by every
 //!   session at its next step — staleness is per relation
 //!   ([`ResidentDb::view_is_current`]), so a session reseeds its step caches
-//!   only when a relation its program actually reads changed.  One-shot runs
-//!   ([`RelationalTransducer::run`](crate::RelationalTransducer::run) /
-//!   `run_resident`) instead pin their view for the whole run, so each run
-//!   is consistent with a single catalog state.
+//!   only when a relation its program actually reads changed.
 //!
 //! A completed (or in-flight) session converts back into the paper's [`Run`]
-//! object with [`Session::run`], producing bit-identical results to a
-//! one-shot [`RelationalTransducer::run`](crate::RelationalTransducer::run)
-//! over the same inputs and catalog.
+//! object with [`Session::run`].  Over an unchanged catalog it is
+//! bit-identical to a one-shot
+//! [`RelationalTransducer::run`](crate::RelationalTransducer::run) over the
+//! same inputs — the §2 definition, one full evaluation of the output
+//! program per step, which shares no step cache with a session and is the
+//! reference the incremental stepper is checked against.
 //!
 //! Every session is placed on one of the runtime's shards
 //! ([`Runtime::shard_of`], [`Session::shard`]).  A plain runtime has one
@@ -68,19 +68,15 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The incremental per-step engine shared by [`Session`] and the
-/// [`SpocusTransducer::run`]/[`SpocusTransducer::run_resident`] entry points:
-/// a delta-aware [`StepEvaluator`] plus the cumulative-state bookkeeping
-/// (state, pre-delta state, and the delta between them).
+/// The incremental per-step engine behind a [`Session`]: a delta-aware
+/// [`StepEvaluator`] plus the cumulative-state bookkeeping (state, pre-delta
+/// state, and the delta between them).  Its view of the shared catalog is
+/// refreshed whenever a relation the program reads changed, so each step
+/// observes the catalog as of that step.
 #[derive(Debug)]
 pub(crate) struct IncrementalStepper {
     evaluator: StepEvaluator,
     view: ResidentView,
-    /// True for one-shot runs: the view is pinned for the whole run, so the
-    /// produced `Run` is consistent with a single catalog state even while
-    /// other threads mutate the shared database.  Sessions leave this false
-    /// and observe catalog changes at their next step.
-    pin_view: bool,
     /// The session's demand plan, if any: under
     /// [`DemandPolicy::Demand`] the evaluator runs the magic-set-rewritten
     /// program with the step's seed facts merged into the volatile sources;
@@ -98,38 +94,10 @@ pub(crate) struct IncrementalStepper {
 }
 
 impl IncrementalStepper {
+    /// A session stepper, evaluating under `demand`'s plan if one is given.
     pub(crate) fn new(
         transducer: &SpocusTransducer,
         db: &ResidentDb,
-        parallelism: Parallelism,
-    ) -> Result<Self, CoreError> {
-        Self::with_pinning(transducer, db, false, parallelism, None)
-    }
-
-    /// A stepper whose view never refreshes: the whole run happens against
-    /// the catalog state observed at construction.
-    pub(crate) fn pinned(
-        transducer: &SpocusTransducer,
-        db: &ResidentDb,
-        parallelism: Parallelism,
-    ) -> Result<Self, CoreError> {
-        Self::with_pinning(transducer, db, true, parallelism, None)
-    }
-
-    /// A session stepper evaluating under a demand plan.
-    pub(crate) fn demanded(
-        transducer: &SpocusTransducer,
-        db: &ResidentDb,
-        parallelism: Parallelism,
-        plan: Arc<DemandPlan>,
-    ) -> Result<Self, CoreError> {
-        Self::with_pinning(transducer, db, false, parallelism, Some(plan))
-    }
-
-    fn with_pinning(
-        transducer: &SpocusTransducer,
-        db: &ResidentDb,
-        pin_view: bool,
         parallelism: Parallelism,
         demand: Option<Arc<DemandPlan>>,
     ) -> Result<Self, CoreError> {
@@ -163,7 +131,6 @@ impl IncrementalStepper {
         Ok(IncrementalStepper {
             evaluator,
             view,
-            pin_view,
             demand,
             state: empty_state.clone(),
             old_state: empty_state.clone(),
@@ -180,11 +147,6 @@ impl IncrementalStepper {
     /// The state after the last step.
     pub(crate) fn state(&self) -> &Instance {
         &self.state
-    }
-
-    /// The database snapshot the stepper evaluates against.
-    pub(crate) fn view_instance(&self) -> &Instance {
-        self.view.instance()
     }
 
     /// Statistics of the last evaluated step.
@@ -210,15 +172,13 @@ impl IncrementalStepper {
         // Staleness is per relation — mutations (inserts *and* retractions)
         // to relations the program never reads keep every cache alive, and
         // a mutation the program does read reseeds exactly the rule caches
-        // that join against it, not the whole evaluator.  Pinned (one-shot
-        // run) steppers never refresh, so the produced run is consistent
-        // with a single catalog state.
+        // that join against it, not the whole evaluator.
         let compiled = self
             .demand
             .as_ref()
             .and_then(|plan| plan.compiled())
             .unwrap_or_else(|| transducer.compiled_output_program());
-        if !self.pin_view && !db.view_is_current(&self.view) {
+        if !db.view_is_current(&self.view) {
             let stale = db.stale_relations(&self.view);
             self.view = db.view_for(compiled);
             self.evaluator.invalidate_relations(&stale);
@@ -720,20 +680,12 @@ impl Runtime {
         }
 
         let config = *lock_clean(&self.inner.config);
-        let built = match demand {
-            None => IncrementalStepper::new(&transducer, &self.inner.db, self.inner.parallelism),
-            Some(spec) => self
-                .inner
-                .demand_plan(&transducer, spec, config.demand)
-                .and_then(|plan| {
-                    IncrementalStepper::demanded(
-                        &transducer,
-                        &self.inner.db,
-                        self.inner.parallelism,
-                        plan,
-                    )
-                }),
-        };
+        let built = demand
+            .map(|spec| self.inner.demand_plan(&transducer, spec, config.demand))
+            .transpose()
+            .and_then(|plan| {
+                IncrementalStepper::new(&transducer, &self.inner.db, self.inner.parallelism, plan)
+            });
         let mut stepper = match built {
             Ok(stepper) => stepper,
             Err(e) => {

@@ -1,9 +1,9 @@
 //! Spocus transducers (§3.1).
 
-use crate::{CoreError, RelationalTransducer, Run, TransducerSchema};
+use crate::{CoreError, RelationalTransducer, TransducerSchema};
 use rtx_datalog::safety::{check_program_safety, check_semipositive};
-use rtx_datalog::{BodyLiteral, CompiledProgram, Program};
-use rtx_relational::{Instance, InstanceSequence, RelationName};
+use rtx_datalog::{BodyLiteral, CompiledProgram, EvalBudget, Parallelism, Program};
+use rtx_relational::{Instance, RelationName};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -25,13 +25,12 @@ use std::fmt;
 /// Construction also **compiles** the output program once
 /// ([`rtx_datalog::CompiledProgram`]): safety checking, dependency analysis
 /// and stratification never run again, and every step joins through hash
-/// indexes.  [`RelationalTransducer::run`] additionally makes the database
-/// resident for the run and evaluates steps incrementally against the
-/// cumulative-state deltas, so the per-step cost is driven by what changed,
-/// not by the catalog or accumulated state size; a resident service shares
-/// one prepared catalog across many runs with
-/// [`SpocusTransducer::run_resident`] or the [`crate::runtime`] session
-/// layer.
+/// indexes.  [`RelationalTransducer::run`] is the trait's §2 definition —
+/// one full evaluation of the output program per step — and is the
+/// reference the [`crate::runtime`] session layer is checked against; a
+/// resident service shares one prepared catalog across many runs through
+/// that session layer, whose steps evaluate incrementally against the
+/// cumulative-state deltas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpocusTransducer {
     name: String,
@@ -153,75 +152,6 @@ impl SpocusTransducer {
     pub fn compiled_output_program(&self) -> &CompiledProgram {
         &self.compiled
     }
-
-    /// Evaluates the compiled output program against the step sources
-    /// (`input ∪ previous_state ∪ db`, passed separately — the schemas are
-    /// disjoint, so no union needs to be materialised) and fills out the full
-    /// output schema (the program may not mention every output relation).
-    fn evaluate_output(&self, sources: &[&Instance]) -> Result<Instance, CoreError> {
-        let (derived, _) = self.compiled.evaluate_with_view(sources, None)?;
-        let mut output = Instance::empty(self.schema.output());
-        // Head relations are validated output relations with matching
-        // arities, and absorbing into fresh empty relations shares the
-        // derived tuple sets instead of copying them.
-        output.absorb(&derived)?;
-        Ok(output)
-    }
-
-    /// Runs the transducer against a shared resident database: the catalog's
-    /// retained indexes are reused (and refreshed per relation if stale)
-    /// instead of rebuilt, and steps evaluate incrementally against the
-    /// cumulative-state deltas.
-    ///
-    /// The run is evaluated against one consistent snapshot — the resident
-    /// database's contents at the start of the run (concurrent mutations are
-    /// observed by *later* runs, not mid-run) — and is identical to
-    /// [`RelationalTransducer::run`] over that snapshot.  The resident
-    /// database must carry every relation of the transducer's `db` schema.
-    pub fn run_resident(
-        &self,
-        db: &rtx_datalog::ResidentDb,
-        inputs: &InstanceSequence,
-    ) -> Result<Run, CoreError> {
-        self.run_incremental(db, None, inputs, rtx_datalog::Parallelism::default())
-    }
-
-    /// [`SpocusTransducer::run_resident`] under an explicit
-    /// [`Parallelism`](rtx_datalog::Parallelism) policy: passes whose
-    /// outer-candidate counts clear the policy's threshold fan out to the
-    /// worker pool, with results bit-identical to the sequential run.
-    pub fn run_resident_with(
-        &self,
-        db: &rtx_datalog::ResidentDb,
-        inputs: &InstanceSequence,
-        parallelism: rtx_datalog::Parallelism,
-    ) -> Result<Run, CoreError> {
-        self.run_incremental(db, None, inputs, parallelism)
-    }
-
-    /// The shared incremental run loop behind [`RelationalTransducer::run`]
-    /// and [`SpocusTransducer::run_resident`].  The recorded database (if
-    /// not supplied) is taken from the stepper's own pinned view, so the
-    /// produced [`Run`] is always consistent with what the steps evaluated
-    /// against.
-    fn run_incremental(
-        &self,
-        db: &rtx_datalog::ResidentDb,
-        recorded: Option<Instance>,
-        inputs: &InstanceSequence,
-        parallelism: rtx_datalog::Parallelism,
-    ) -> Result<Run, CoreError> {
-        let mut stepper = crate::runtime::IncrementalStepper::pinned(self, db, parallelism)?;
-        let recorded = recorded.unwrap_or_else(|| {
-            let db_names: std::collections::BTreeSet<rtx_relational::RelationName> =
-                self.schema.db().names().cloned().collect();
-            stepper.view_instance().restrict_to_set(&db_names)
-        });
-        crate::transducer::drive_run(&self.schema, &recorded, inputs, |input, _previous_state| {
-            let output = stepper.step(self, db, input)?;
-            Ok((output, stepper.state().clone()))
-        })
-    }
 }
 
 impl RelationalTransducer for SpocusTransducer {
@@ -252,32 +182,29 @@ impl RelationalTransducer for SpocusTransducer {
     }
 
     /// Output: evaluate the compiled semipositive non-recursive program
-    /// against `input ∪ previous_state ∪ db`.  No safety checking, dependency
-    /// analysis or stratification happens here — all of it ran once at
-    /// construction.
+    /// against `input ∪ previous_state ∪ db` (passed as separate sources —
+    /// the schemas are disjoint, so no union is materialised) and fill out
+    /// the full output schema (the program may not mention every output
+    /// relation).  No safety checking, dependency analysis or stratification
+    /// happens here — all of it ran once at construction.
     fn output_step(
         &self,
         input: &Instance,
         previous_state: &Instance,
         db: &Instance,
     ) -> Result<Instance, CoreError> {
-        self.evaluate_output(&[input, previous_state, db])
-    }
-
-    /// Runs the transducer with the database made resident for the whole
-    /// run: each step probes the same catalog indexes instead of rebuilding
-    /// them, and steps evaluate incrementally against the cumulative-state
-    /// deltas, so the per-step cost is driven by the step's *changes*, not
-    /// the database or accumulated state size.  For a database shared across
-    /// many runs, use [`SpocusTransducer::run_resident`].
-    fn run(&self, db: &Instance, inputs: &InstanceSequence) -> Result<Run, CoreError> {
-        let resident = self.compiled.prepare(db);
-        self.run_incremental(
-            &resident,
-            Some(db.clone()),
-            inputs,
-            rtx_datalog::Parallelism::default(),
-        )
+        let (derived, _) = self.compiled.evaluate(
+            &[input, previous_state, db],
+            None,
+            Parallelism::default(),
+            EvalBudget::UNLIMITED,
+        )?;
+        let mut output = Instance::empty(self.schema.output());
+        // Head relations are validated output relations with matching
+        // arities, and absorbing into fresh empty relations shares the
+        // derived tuple sets instead of copying them.
+        output.absorb(&derived)?;
+        Ok(output)
     }
 }
 

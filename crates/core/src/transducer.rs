@@ -38,61 +38,38 @@ pub trait RelationalTransducer {
     /// * `Oᵢ = ω(Iᵢ, Sᵢ₋₁, D)`,
     /// * `Lᵢ = (Iᵢ ∪ Oᵢ)|log`.
     fn run(&self, db: &Instance, inputs: &InstanceSequence) -> Result<Run, CoreError> {
-        drive_run(self.schema(), db, inputs, |input, previous_state| {
-            let output = self.output_step(input, previous_state, db)?;
-            let next_state = self.state_step(input, previous_state, db)?;
-            Ok((output, next_state))
-        })
-    }
-}
+        let schema = self.schema();
+        if inputs.schema() != schema.input() {
+            return Err(CoreError::SchemaMismatch {
+                detail: format!(
+                    "input sequence schema {} does not match the transducer input schema {}",
+                    inputs.schema(),
+                    schema.input()
+                ),
+            });
+        }
+        let db_schema = db.schema();
+        if &db_schema != schema.db() {
+            return Err(CoreError::SchemaMismatch {
+                detail: format!(
+                    "database schema {} does not match the transducer db schema {}",
+                    db_schema,
+                    schema.db()
+                ),
+            });
+        }
 
-/// Validates the run preconditions and drives the step loop of §2.2.
-///
-/// `step` maps `(Iᵢ, Sᵢ₋₁)` to `(Oᵢ, Sᵢ)`.  Shared by the trait's default
-/// [`RelationalTransducer::run`] and by implementations that override `run`
-/// with a faster per-step evaluation (e.g. the Spocus transducer, which
-/// pre-indexes the database for the whole run) so the validation and run
-/// semantics exist in exactly one place.
-pub(crate) fn drive_run<F>(
-    schema: &TransducerSchema,
-    db: &Instance,
-    inputs: &InstanceSequence,
-    mut step: F,
-) -> Result<Run, CoreError>
-where
-    F: FnMut(&Instance, &Instance) -> Result<(Instance, Instance), CoreError>,
-{
-    if inputs.schema() != schema.input() {
-        return Err(CoreError::SchemaMismatch {
-            detail: format!(
-                "input sequence schema {} does not match the transducer input schema {}",
-                inputs.schema(),
-                schema.input()
-            ),
-        });
+        let mut states = InstanceSequence::empty(schema.state().clone());
+        let mut outputs = InstanceSequence::empty(schema.output().clone());
+        let mut previous_state = Instance::empty(schema.state());
+        for input in inputs.iter() {
+            outputs.push(self.output_step(input, &previous_state, db)?)?;
+            let next_state = self.state_step(input, &previous_state, db)?;
+            states.push(next_state.clone())?;
+            previous_state = next_state;
+        }
+        Run::new(schema.clone(), db.clone(), inputs.clone(), states, outputs)
     }
-    let db_schema = db.schema();
-    if &db_schema != schema.db() {
-        return Err(CoreError::SchemaMismatch {
-            detail: format!(
-                "database schema {} does not match the transducer db schema {}",
-                db_schema,
-                schema.db()
-            ),
-        });
-    }
-
-    let mut states = InstanceSequence::empty(schema.state().clone());
-    let mut outputs = InstanceSequence::empty(schema.output().clone());
-    let mut previous_state = Instance::empty(schema.state());
-
-    for input in inputs.iter() {
-        let (output, next_state) = step(input, &previous_state)?;
-        outputs.push(output)?;
-        states.push(next_state.clone())?;
-        previous_state = next_state;
-    }
-    Run::new(schema.clone(), db.clone(), inputs.clone(), states, outputs)
 }
 
 #[cfg(test)]

@@ -35,10 +35,10 @@
 //! cached for the duration of an evaluation.  For a long-lived database the
 //! caching extends across evaluations, sessions and threads: make the
 //! database resident with [`CompiledProgram::prepare`] (or
-//! [`ResidentDb::new`]) and evaluate through
-//! [`CompiledProgram::evaluate_resident`] — the resident database keeps its
-//! indexes across runs and invalidates them per relation by version stamp
-//! (see [`crate::resident`] for the lifecycle).
+//! [`ResidentDb::new`]) and evaluate over its [`ResidentDb::view_for`] view
+//! — the resident database keeps its indexes across runs and invalidates
+//! them per relation by version stamp (see [`crate::resident`] for the
+//! lifecycle).
 //!
 //! Evaluation is **data-parallel**: the paper's set-at-a-time semantics mean
 //! every rule of a stratum reads the *previous* fixpoint round, so rules of a
@@ -55,9 +55,8 @@
 //! determinism contract).
 //!
 //! The reference interpreter remains available through [`crate::engine`] and
-//! is used as an oracle by the randomized equivalence tests; benchmarks can
-//! compare naive, semi-naive and compiled-indexed evaluation through
-//! [`crate::EvalOptions`].
+//! is used as an oracle by the randomized equivalence tests; it never calls
+//! into this module.
 
 use crate::demand::{magic_rewrite, DemandGoal, DemandProgram};
 use crate::engine::{EvalBudget, EvalStats};
@@ -433,77 +432,24 @@ impl CompiledProgram {
     /// Evaluates the program against a list of extensional sources.
     ///
     /// Relations are resolved in each source in turn (first match wins), then
-    /// in the derived instance; a relation found nowhere is empty — the same
-    /// convention as the reference interpreter.
-    pub fn evaluate(&self, sources: &[&Instance]) -> Result<(Instance, EvalStats), DatalogError> {
-        self.evaluate_with_view(sources, None)
-    }
-
-    /// [`Self::evaluate`] under an explicit [`Parallelism`] policy.
-    pub fn evaluate_par(
-        &self,
-        sources: &[&Instance],
-        parallelism: Parallelism,
-    ) -> Result<(Instance, EvalStats), DatalogError> {
-        self.evaluate_with_view_par(sources, None, parallelism)
-    }
-
-    /// Evaluates with a resident database appended to the source list; its
-    /// retained indexes are reused instead of rebuilt (stale ones are
-    /// refreshed first, per relation).
-    pub fn evaluate_resident(
-        &self,
-        sources: &[&Instance],
-        db: &ResidentDb,
-    ) -> Result<(Instance, EvalStats), DatalogError> {
-        self.evaluate_resident_par(sources, db, Parallelism::default())
-    }
-
-    /// [`Self::evaluate_resident`] under an explicit [`Parallelism`] policy.
-    pub fn evaluate_resident_par(
-        &self,
-        sources: &[&Instance],
-        db: &ResidentDb,
-        parallelism: Parallelism,
-    ) -> Result<(Instance, EvalStats), DatalogError> {
-        let view = db.view_for(self);
-        self.evaluate_with_view_par(sources, Some(&view), parallelism)
-    }
-
-    /// Evaluates with an optional pre-assembled resident view (the form the
-    /// transducer runtime uses: one view per step batch, not one lock
-    /// round-trip per evaluation).
-    pub fn evaluate_with_view(
-        &self,
-        sources: &[&Instance],
-        prepared: Option<&ResidentView>,
-    ) -> Result<(Instance, EvalStats), DatalogError> {
-        self.evaluate_with_view_par(sources, prepared, Parallelism::default())
-    }
-
-    /// [`Self::evaluate_with_view`] under an explicit [`Parallelism`] policy.
+    /// in the optional resident `view` (whose retained indexes are probed
+    /// instead of rebuilt; see [`ResidentDb::view_for`]), then in the derived
+    /// instance; a relation found nowhere is empty — the same convention as
+    /// the reference interpreter.
     ///
-    /// The parallel schedule is bit-identical to the sequential one — same
-    /// derived instance, same [`EvalStats`] — because work units are merged
-    /// in the fixed `(stratum, rule, pass, chunk)` order (see
-    /// [`crate::pool`]).
-    pub fn evaluate_with_view_par(
+    /// Passes whose outer-candidate counts clear the [`Parallelism`] policy's
+    /// threshold fan out to the worker pool.  The parallel schedule is
+    /// bit-identical to the sequential one — same derived instance, same
+    /// [`EvalStats`] — because work units are merged in the fixed `(stratum,
+    /// rule, pass, chunk)` order (see [`crate::pool`]).
+    ///
+    /// The fixpoint loops check the running [`EvalStats`] against `budget`
+    /// and stop with [`DatalogError::BudgetExceeded`] instead of spinning
+    /// (the overshoot is bounded by one rule wave / fixpoint round).
+    pub fn evaluate(
         &self,
         sources: &[&Instance],
-        prepared: Option<&ResidentView>,
-        parallelism: Parallelism,
-    ) -> Result<(Instance, EvalStats), DatalogError> {
-        self.evaluate_with_view_par_budget(sources, prepared, parallelism, EvalBudget::UNLIMITED)
-    }
-
-    /// [`Self::evaluate_with_view_par`] under an [`EvalBudget`]: the fixpoint
-    /// loops check the running [`EvalStats`] against the budget and stop with
-    /// [`DatalogError::BudgetExceeded`] instead of spinning (the overshoot is
-    /// bounded by one rule wave / fixpoint round).
-    pub fn evaluate_with_view_par_budget(
-        &self,
-        sources: &[&Instance],
-        prepared: Option<&ResidentView>,
+        view: Option<&ResidentView>,
         parallelism: Parallelism,
         budget: EvalBudget,
     ) -> Result<(Instance, EvalStats), DatalogError> {
@@ -537,7 +483,7 @@ impl CompiledProgram {
             }
             None => sources,
         };
-        let mut ctx = EvalContext::new(&self.out_schema, sources, prepared);
+        let mut ctx = EvalContext::new(&self.out_schema, sources, view);
         let mut stats = EvalStats::default();
         for stratum in &self.strata {
             if stratum.recursive {
@@ -1785,8 +1731,12 @@ mod tests {
         assert!(demand.demand().is_some());
         let full = CompiledProgram::compile(&program).unwrap();
 
-        let (demanded, demand_stats) = demand.evaluate(&[&db]).unwrap();
-        let (complete, full_stats) = full.evaluate(&[&db]).unwrap();
+        let (demanded, demand_stats) = demand
+            .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+            .unwrap();
+        let (complete, full_stats) = full
+            .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+            .unwrap();
 
         // The restricted result is the goal footprint of the full fixpoint.
         let footprint = demand.demand().unwrap().footprint(&complete);
@@ -1831,7 +1781,14 @@ mod tests {
         let mut seeds = Instance::empty(&seed_schema);
         seeds.insert(seed_rel, Tuple::from_iter(["a"])).unwrap();
 
-        let (out, _) = compiled.evaluate(&[&seeds, &db]).unwrap();
+        let (out, _) = compiled
+            .evaluate(
+                &[&seeds, &db],
+                None,
+                Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
+            .unwrap();
         assert!(out.holds("tc", &Tuple::from_iter(["a", "c"])));
         assert!(!out.holds("tc", &Tuple::from_iter(["x", "y"])));
     }
@@ -1878,7 +1835,9 @@ mod tests {
             &[("edge", 2)],
             &[("edge", &["a", "a"]), ("edge", &["a", "b"])],
         );
-        let (out, _) = compiled.evaluate(&[&db]).unwrap();
+        let (out, _) = compiled
+            .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+            .unwrap();
         assert_eq!(out.relation("loop").unwrap().len(), 1);
         assert!(out.holds("loop", &Tuple::from_iter(["a"])));
     }
@@ -1894,7 +1853,9 @@ mod tests {
             &[("q", &["a"]), ("q", &["b"]), ("r", &["b"])],
         );
         for _ in 0..5 {
-            let (out, _) = compiled.evaluate(&[&db]).unwrap();
+            let (out, _) = compiled
+                .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+                .unwrap();
             assert_eq!(out.relation("p").unwrap().len(), 1);
         }
         assert_eq!(analysis_count(), before + 1);
@@ -1907,7 +1868,9 @@ mod tests {
         let program = parse_program("a(X) :- b(X).\nb(X) :- q(X).").unwrap();
         let compiled = CompiledProgram::compile_nonrecursive(&program).unwrap();
         let db = edb(&[("q", 1)], &[("q", &["v"])]);
-        let (out, _) = compiled.evaluate(&[&db]).unwrap();
+        let (out, _) = compiled
+            .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+            .unwrap();
         assert!(out.holds("a", &Tuple::from_iter(["v"])));
     }
 
@@ -1939,7 +1902,9 @@ mod tests {
             ],
         );
         let compiled = CompiledProgram::compile(&program).unwrap();
-        let (fast, _) = compiled.evaluate(&[&db]).unwrap();
+        let (fast, _) = compiled
+            .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+            .unwrap();
         let (reference, _) = evaluate_stratified(&program, &db, EvalOptions::default()).unwrap();
         assert_eq!(fast, reference);
         assert_eq!(fast.relation("tc").unwrap().len(), 16);
@@ -1966,7 +1931,9 @@ mod tests {
             .unwrap();
         }
         let compiled = CompiledProgram::compile(&program).unwrap();
-        let (out, stats) = compiled.evaluate(&[&db]).unwrap();
+        let (out, stats) = compiled
+            .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+            .unwrap();
         assert_eq!(out.relation("tc").unwrap().len(), 15);
         assert_eq!(stats.tuples_derived, 25);
     }
@@ -1990,7 +1957,9 @@ mod tests {
             ],
         );
         let compiled = CompiledProgram::compile(&program).unwrap();
-        let (fast, _) = compiled.evaluate(&[&db]).unwrap();
+        let (fast, _) = compiled
+            .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+            .unwrap();
         let (reference, _) = evaluate_stratified(&program, &db, EvalOptions::default()).unwrap();
         assert_eq!(fast, reference);
     }
@@ -2012,7 +1981,14 @@ mod tests {
         let prepared = compiled.prepare(&db);
         assert_eq!(prepared.index_count(), 0);
         let orders = edb(&[("order", 1)], &[("order", &["p7"])]);
-        let (out, _) = compiled.evaluate_resident(&[&orders], &prepared).unwrap();
+        let (out, _) = compiled
+            .evaluate(
+                &[&orders],
+                Some(&prepared.view_for(&compiled)),
+                Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
+            .unwrap();
         assert!(out.holds("bill", &Tuple::from_iter(["p7", "7"])));
         assert_eq!(out.relation("bill").unwrap().len(), 1);
     }
@@ -2041,7 +2017,14 @@ mod tests {
         let prepared = compiled.prepare(&db);
         assert_eq!(prepared.index_count(), 1);
         let items = edb(&[("item", 1)], &[("item", &["widget"])]);
-        let (out, _) = compiled.evaluate_resident(&[&items], &prepared).unwrap();
+        let (out, _) = compiled
+            .evaluate(
+                &[&items],
+                Some(&prepared.view_for(&compiled)),
+                Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
+            .unwrap();
         assert!(out.holds("sourced", &Tuple::from_iter(["widget"])));
         assert_eq!(out.relation("sourced").unwrap().len(), 1);
     }
@@ -2052,7 +2035,14 @@ mod tests {
         let compiled = CompiledProgram::compile(&program).unwrap();
         let a = edb(&[("q", 1)], &[("q", &["x"])]);
         let b = edb(&[("r", 1)], &[("r", &["x"])]);
-        let (out, _) = compiled.evaluate(&[&a, &b]).unwrap();
+        let (out, _) = compiled
+            .evaluate(
+                &[&a, &b],
+                None,
+                Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
+            .unwrap();
         // negation sees every source: r(x) holds, so p is empty
         assert!(out.relation("p").unwrap().is_empty());
     }
@@ -2086,9 +2076,16 @@ mod tests {
         assert!(pool_jobs(&passes, parallelism).len() > 1);
 
         let (sequential, sequential_stats) = compiled
-            .evaluate_par(&[&tick, &db], Parallelism::sequential())
+            .evaluate(
+                &[&tick, &db],
+                None,
+                Parallelism::sequential(),
+                EvalBudget::UNLIMITED,
+            )
             .unwrap();
-        let (parallel, parallel_stats) = compiled.evaluate_par(&[&tick, &db], parallelism).unwrap();
+        let (parallel, parallel_stats) = compiled
+            .evaluate(&[&tick, &db], None, parallelism, EvalBudget::UNLIMITED)
+            .unwrap();
         assert_eq!(sequential.relation("offer").unwrap().len(), 63);
         assert_eq!(parallel, sequential);
         assert_eq!(parallel_stats, sequential_stats);
@@ -2099,7 +2096,9 @@ mod tests {
         let program = parse_program("ok :- a(X), NOT b(X).").unwrap();
         let compiled = CompiledProgram::compile(&program).unwrap();
         let db = edb(&[("a", 1), ("b", 1)], &[("a", &["1"])]);
-        let (out, _) = compiled.evaluate(&[&db]).unwrap();
+        let (out, _) = compiled
+            .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+            .unwrap();
         assert!(out.relation("ok").unwrap().holds());
     }
 }

@@ -50,6 +50,7 @@
 //! affected-closure-sized delta joins — never an O(n) relation copy.
 
 use crate::compile::CompiledProgram;
+use crate::engine::EvalBudget;
 use crate::graph::DependencyGraph;
 use crate::pool::Parallelism;
 use crate::resident::{needed_indexes, ResidentView};
@@ -346,7 +347,8 @@ impl DredEngine {
         check_program_safety(program)?;
         let compiled = CompiledProgram::compile(program)?;
         let parallelism = parallelism.resolved();
-        let (derived, _) = compiled.evaluate_par(&[&database], parallelism)?;
+        let (derived, _) =
+            compiled.evaluate(&[&database], None, parallelism, EvalBudget::UNLIMITED)?;
 
         let idb = program.idb_relations();
         let graph = DependencyGraph::of(program);
@@ -543,7 +545,12 @@ impl DredEngine {
         let delete = comp.delete.as_ref().expect("recursive component");
         while !guard_entries.is_empty() {
             let guards = guard_instance(&guard_entries)?;
-            let (out, _) = delete.evaluate_par(&[&guards, old_db], self.parallelism)?;
+            let (out, _) = delete.evaluate(
+                &[&guards, old_db],
+                None,
+                self.parallelism,
+                EvalBudget::UNLIMITED,
+            )?;
             stats.rounds += 1;
             let mut next_round = Vec::new();
             for h in &comp.heads {
@@ -585,8 +592,12 @@ impl DredEngine {
             }
             let guards = guard_instance(&entries)?;
             let rederive = comp.rederive.as_ref().expect("recursive component");
-            let (out, _) =
-                rederive.evaluate_par(&[&guards, &self.edb, &self.derived], self.parallelism)?;
+            let (out, _) = rederive.evaluate(
+                &[&guards, &self.edb, &self.derived],
+                None,
+                self.parallelism,
+                EvalBudget::UNLIMITED,
+            )?;
             stats.rounds += 1;
             let mut changed = false;
             for h in &comp.heads {
@@ -636,8 +647,12 @@ impl DredEngine {
                 &mut self.index_cache,
                 insert,
             )?;
-            let (out, _) =
-                insert.evaluate_with_view_par(&[&guards], Some(&view), self.parallelism)?;
+            let (out, _) = insert.evaluate(
+                &[&guards],
+                Some(&view),
+                self.parallelism,
+                EvalBudget::UNLIMITED,
+            )?;
             // Drop the view's Arc shares before mutating `derived` below, so
             // insertions stay in-place instead of copying the relation.
             drop(view);
@@ -723,8 +738,12 @@ impl DredEngine {
             &mut self.index_cache,
             count_delta,
         )?;
-        let (out, _) =
-            count_delta.evaluate_with_view_par(&[&guards], Some(&view), self.parallelism)?;
+        let (out, _) = count_delta.evaluate(
+            &[&guards],
+            Some(&view),
+            self.parallelism,
+            EvalBudget::UNLIMITED,
+        )?;
         // Release the view's Arc shares before mutating `derived`, or the
         // first removed tuple would pay a copy-on-write deep copy of its
         // whole relation.
@@ -790,8 +809,12 @@ impl DredEngine {
                 .expect("counting component has one head")
                 .clone();
             let head_arity = self.derived.get(&head).map_or(0, Relation::arity);
-            let (out, _) =
-                count_full.evaluate_par(&[&self.edb, &self.derived], self.parallelism)?;
+            let (out, _) = count_full.evaluate(
+                &[&self.edb, &self.derived],
+                None,
+                self.parallelism,
+                EvalBudget::UNLIMITED,
+            )?;
             let counts = self.counts.entry(head.clone()).or_default();
             for ri in 0..comp.rules.len() {
                 if let Some(derivations) = out.get(&cnt_name(&head, ri)) {
@@ -1221,7 +1244,12 @@ mod tests {
     fn assert_matches_rebuild(engine: &DredEngine) {
         let (rebuilt, _) = engine
             .compiled()
-            .evaluate(&[engine.database()])
+            .evaluate(
+                &[engine.database()],
+                None,
+                Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
             .expect("rebuild evaluates");
         assert_eq!(
             engine.derived(),

@@ -5,19 +5,18 @@
 //! * [`evaluate_nonrecursive`] — the reference evaluation of a non-recursive
 //!   program: derived relations are computed in dependency (topological)
 //!   order in a single pass;
-//! * [`evaluate_stratified`] — the general engine for stratified datalog¬,
-//!   iterating each stratum to a fixpoint with either naive or semi-naive
-//!   evaluation ([`FixpointStrategy`]), or delegating to the compiled-indexed
-//!   engine ([`EvalEngine::CompiledIndexed`]).  This is the substrate
+//! * [`evaluate_stratified`] — the reference evaluation of stratified
+//!   datalog¬, iterating each stratum to a fixpoint with either naive or
+//!   semi-naive evaluation ([`FixpointStrategy`]).  This is the substrate
 //!   ablation the benchmarks exercise (`datalog_eval`).
 //!
 //! Both interpreter paths re-analyse the program on every call and join with
-//! nested scans; they are kept as the **reference oracle** for the compiled
-//! engine in [`crate::compile`], which performs the analysis once and joins
-//! through hash indexes.  Production callers (the Spocus transducer runtime)
-//! use the compiled engine.
+//! nested scans, and neither hands work to the compiled engine in
+//! [`crate::compile`], which performs the analysis once and joins through
+//! hash indexes: they stay the **reference oracle** that engine is checked
+//! against.  Production callers (the Spocus transducer runtime) use
+//! [`CompiledProgram::evaluate`](crate::CompiledProgram::evaluate).
 
-use crate::compile::CompiledProgram;
 use crate::graph::DependencyGraph;
 use crate::safety::check_program_safety;
 use crate::{Atom, BodyLiteral, DatalogError, Program, Rule};
@@ -38,29 +37,11 @@ pub enum FixpointStrategy {
     SemiNaive,
 }
 
-/// Which evaluation engine to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalEngine {
-    /// The tuple-at-a-time reference interpreter.
-    #[default]
-    Interpreted,
-    /// Compile once ([`crate::compile::CompiledProgram`]) and evaluate with
-    /// slot registers and hash-indexed joins.  The fixpoint strategy is
-    /// always semi-naive in this mode.
-    CompiledIndexed,
-}
-
 /// Evaluation options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalOptions {
-    /// Fixpoint strategy for recursive strata (interpreter only).
+    /// Fixpoint strategy for recursive strata.
     pub strategy: FixpointStrategy,
-    /// Engine selection.
-    pub engine: EvalEngine,
-    /// Worker-pool policy for the compiled engine (the interpreter is always
-    /// sequential).  Parallel evaluation is bit-identical to sequential —
-    /// see [`crate::pool`] for the determinism contract.
-    pub parallelism: crate::pool::Parallelism,
     /// Resource budget for the evaluation; unlimited by default.
     pub budget: EvalBudget,
     /// Demand policy: [`Demand`](crate::demand::DemandPolicy::Demand) routes
@@ -244,14 +225,6 @@ pub fn evaluate_stratified(
             let (derived, stats) = evaluate_stratified(rewrite.program(), edb, full_options)?;
             return Ok((rewrite.restrict(&derived), stats));
         }
-    }
-    if options.engine == EvalEngine::CompiledIndexed {
-        return CompiledProgram::compile(program)?.evaluate_with_view_par_budget(
-            &[edb],
-            None,
-            options.parallelism,
-            options.budget,
-        );
     }
     check_program_safety(program)?;
     let arities = program.relation_arities()?;
@@ -566,6 +539,7 @@ fn lookup<'a>(databases: &[&'a Instance], relation: &RelationName) -> Option<&'a
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::CompiledProgram;
     use crate::parser::parse_program;
 
     fn edb(pairs: &[(&str, usize)], facts: &[(&str, &[&str])]) -> Instance {
@@ -782,60 +756,48 @@ mod tests {
             )
             .unwrap();
         }
-        for engine in [EvalEngine::Interpreted, EvalEngine::CompiledIndexed] {
-            // Rounds cap: the 6-node chain needs more than two fixpoint
-            // rounds, so the evaluation stops with a typed error.
-            let err = evaluate_stratified(
+        let compiled = CompiledProgram::compile(&program).unwrap();
+        type Eval<'a> = &'a dyn Fn(EvalBudget) -> Result<(Instance, EvalStats), DatalogError>;
+        let interpreted: Eval = &|budget| {
+            evaluate_stratified(
                 &program,
                 &db,
                 EvalOptions {
-                    engine,
-                    budget: EvalBudget::max_rounds(2),
+                    budget,
                     ..EvalOptions::default()
                 },
             )
-            .unwrap_err();
+        };
+        let compiled: Eval =
+            &|budget| compiled.evaluate(&[&db], None, crate::Parallelism::default(), budget);
+        for (engine, evaluate) in [("interpreted", interpreted), ("compiled", compiled)] {
+            // Rounds cap: the 6-node chain needs more than two fixpoint
+            // rounds, so the evaluation stops with a typed error.
+            let err = evaluate(EvalBudget::max_rounds(2)).unwrap_err();
             assert!(
                 matches!(
                     err,
                     DatalogError::BudgetExceeded { ref resource, limit: 2, .. }
                         if resource == "rounds"
                 ),
-                "{engine:?}: {err}"
+                "{engine}: {err}"
             );
 
             // Derivations cap: 15 tc facts need 25 derivations.
-            let err = evaluate_stratified(
-                &program,
-                &db,
-                EvalOptions {
-                    engine,
-                    budget: EvalBudget::max_derivations(10),
-                    ..EvalOptions::default()
-                },
-            )
-            .unwrap_err();
+            let err = evaluate(EvalBudget::max_derivations(10)).unwrap_err();
             assert!(
                 matches!(
                     err,
                     DatalogError::BudgetExceeded { ref resource, limit: 10, .. }
                         if resource == "derivations"
                 ),
-                "{engine:?}: {err}"
+                "{engine}: {err}"
             );
 
             // A budget generous enough for the whole evaluation changes
             // nothing.
-            let (out, _) = evaluate_stratified(
-                &program,
-                &db,
-                EvalOptions {
-                    engine,
-                    budget: EvalBudget::max_derivations(1000).with_max_rounds(1000),
-                    ..EvalOptions::default()
-                },
-            )
-            .unwrap();
+            let (out, _) =
+                evaluate(EvalBudget::max_derivations(1000).with_max_rounds(1000)).unwrap();
             assert_eq!(out.relation("tc").unwrap().len(), 15);
         }
         assert!(EvalBudget::UNLIMITED.is_unlimited());
@@ -912,15 +874,15 @@ mod tests {
             &[("edge", 2)],
             &[("edge", &["a", "b"]), ("edge", &["b", "c"])],
         );
-        let (compiled, _) = evaluate_stratified(
-            &program,
-            &db,
-            EvalOptions {
-                engine: EvalEngine::CompiledIndexed,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
+        let (compiled, _) = CompiledProgram::compile(&program)
+            .unwrap()
+            .evaluate(
+                &[&db],
+                None,
+                crate::Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
+            .unwrap();
         let (reference, _) = evaluate_stratified(&program, &db, EvalOptions::default()).unwrap();
         assert_eq!(compiled, reference);
     }

@@ -606,7 +606,14 @@ mod tests {
             let (incremental, stats) = evaluator
                 .step(&compiled, &input, &grown, &grown_old, &delta, &view)
                 .unwrap();
-            let (full, _) = compiled.evaluate(&[&input, &grown, db]).unwrap();
+            let (full, _) = compiled
+                .evaluate(
+                    &[&input, &grown, db],
+                    None,
+                    Parallelism::default(),
+                    EvalBudget::UNLIMITED,
+                )
+                .unwrap();
             assert_eq!(incremental, full, "incremental ≠ full at some step");
             all_stats.push(stats);
 

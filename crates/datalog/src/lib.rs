@@ -63,8 +63,8 @@
 //! 2. make the shared database resident once ([`CompiledProgram::prepare`]
 //!    or [`ResidentDb::new`] + [`ResidentDb::prepare_for`]);
 //! 3. evaluate any number of times from any thread
-//!    ([`CompiledProgram::evaluate_resident`], or a [`StepEvaluator`] per
-//!    session for incremental stepping);
+//!    ([`CompiledProgram::evaluate`] over a [`ResidentDb::view_for`] view,
+//!    or a [`StepEvaluator`] per session for incremental stepping);
 //! 4. mutate the resident database whenever — [`ResidentDb::insert`] *or*
 //!    [`ResidentDb::retract`].  Either way the mutation lifecycle is the
 //!    same: the write lands in the copy-on-write instance, the relation's
@@ -155,7 +155,7 @@ pub use compile::{CompiledProgram, CompiledRule};
 pub use demand::{magic_rewrite, Adornment, DemandGoal, DemandPolicy, DemandProgram};
 pub use dred::{DredEngine, DredStats, MutationBatch};
 pub use engine::{
-    evaluate_nonrecursive, evaluate_stratified, EvalBudget, EvalEngine, EvalOptions, EvalStats,
+    evaluate_nonrecursive, evaluate_stratified, EvalBudget, EvalOptions, EvalStats,
     FixpointStrategy,
 };
 pub use error::DatalogError;

@@ -22,8 +22,7 @@
 //!   the tuple-count threshold exists precisely to confine spawns to regions
 //!   whose join work dwarfs the tens-of-microseconds spawn cost.
 //! * [`Parallelism`] — the per-evaluation policy knob threaded through
-//!   [`EvalOptions`](crate::EvalOptions), the `evaluate_*` entry points of
-//!   [`CompiledProgram`](crate::CompiledProgram), the incremental
+//!   [`CompiledProgram::evaluate`](crate::CompiledProgram::evaluate), the incremental
 //!   [`StepEvaluator`](crate::StepEvaluator) and the `rtx-core` runtime:
 //!   how many workers, and above which outer candidate count a pass is
 //!   worth fanning out (below the threshold the sequential path runs — OS

@@ -30,8 +30,8 @@
 //!
 //! The lifecycle is: build once ([`ResidentDb::new`] or
 //! [`CompiledProgram::prepare`](crate::CompiledProgram::prepare)), evaluate
-//! many times ([`ResidentDb::view_for`] /
-//! [`CompiledProgram::evaluate_resident`](crate::CompiledProgram::evaluate_resident)),
+//! many times ([`ResidentDb::view_for`], then
+//! [`CompiledProgram::evaluate`](crate::CompiledProgram::evaluate) over the view),
 //! mutate whenever ([`ResidentDb::insert`], [`ResidentDb::ensure_relation`])
 //! — the next view rebuilds exactly the indexes whose relations changed.
 

@@ -12,7 +12,7 @@
 //! and pin the parallel engine to bit-identical results on the same
 //! recursive, non-prefix workload.
 
-use rtx_datalog::{parse_program, CompiledProgram, Parallelism};
+use rtx_datalog::{parse_program, CompiledProgram, EvalBudget, Parallelism};
 use rtx_relational::{Instance, Schema, Tuple};
 
 /// `link(child, parent)` chains n0 ← n1 ← … ← n{n-1}; reachability walks the
@@ -89,7 +89,14 @@ fn recursive_non_prefix_probe_builds_the_resident_index_once() {
     for _ in 0..3 {
         // A 64-node chain takes 64 fixpoint rounds: any per-round rebuild of
         // the resident index would move the counter by ~64 per evaluation.
-        let (out, stats) = compiled.evaluate_resident(&[&inputs], &resident).unwrap();
+        let (out, stats) = compiled
+            .evaluate(
+                &[&inputs],
+                Some(&resident.view_for(&compiled)),
+                Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
+            .unwrap();
         assert_eq!(out.relation("reach").unwrap().len(), n);
         assert!(stats.rounds > (n as u64) / 2);
         assert_eq!(resident.index_builds(), 1, "no per-round rebuilds");
@@ -100,7 +107,14 @@ fn recursive_non_prefix_probe_builds_the_resident_index_once() {
     resident
         .insert("link", Tuple::from_iter(["n64", "n63"]))
         .unwrap();
-    let (out, _) = compiled.evaluate_resident(&[&inputs], &resident).unwrap();
+    let (out, _) = compiled
+        .evaluate(
+            &[&inputs],
+            Some(&resident.view_for(&compiled)),
+            Parallelism::default(),
+            EvalBudget::UNLIMITED,
+        )
+        .unwrap();
     assert_eq!(out.relation("reach").unwrap().len(), n + 1);
     assert_eq!(resident.index_builds(), 2, "one rebuild after the write");
 }
@@ -116,13 +130,23 @@ fn recursive_non_prefix_workload_is_parallel_deterministic() {
         let resident = compiled.prepare(&db);
         let inputs = seeds();
         let (seq, seq_stats) = compiled
-            .evaluate_resident_par(&[&inputs], &resident, Parallelism::sequential())
+            .evaluate(
+                &[&inputs],
+                Some(&resident.view_for(&compiled)),
+                Parallelism::sequential(),
+                EvalBudget::UNLIMITED,
+            )
             .unwrap();
         assert_eq!(seq.relation("reach").unwrap().len(), 48);
         for threads in [1usize, 2, 8] {
             let par = Parallelism::threads(threads).with_threshold(0);
             let (out, stats) = compiled
-                .evaluate_resident_par(&[&inputs], &resident, par)
+                .evaluate(
+                    &[&inputs],
+                    Some(&resident.view_for(&compiled)),
+                    par,
+                    EvalBudget::UNLIMITED,
+                )
                 .unwrap();
             assert_eq!(out, seq, "threads={threads} diverged");
             assert_eq!(stats, seq_stats, "threads={threads} counter drift");
@@ -140,14 +164,21 @@ fn non_prefix_shapes_without_a_resident_db_stay_deterministic() {
         let db = chain_db(32);
         let inputs = seeds();
         let (seq, seq_stats) = compiled
-            .evaluate_par(&[&inputs, &db], Parallelism::sequential())
+            .evaluate(
+                &[&inputs, &db],
+                None,
+                Parallelism::sequential(),
+                EvalBudget::UNLIMITED,
+            )
             .unwrap();
         assert_eq!(seq.relation("reach").unwrap().len(), 32);
         for threads in [2usize, 8] {
             let (out, stats) = compiled
-                .evaluate_par(
+                .evaluate(
                     &[&inputs, &db],
+                    None,
                     Parallelism::threads(threads).with_threshold(0),
+                    EvalBudget::UNLIMITED,
                 )
                 .unwrap();
             assert_eq!(out, seq);
@@ -165,7 +196,12 @@ fn concurrent_parallel_evaluations_share_one_resident_db() {
     let resident = std::sync::Arc::new(compiled.prepare(&chain_db(40)));
     let inputs = seeds();
     let (expected, expected_stats) = compiled
-        .evaluate_resident_par(&[&inputs], &resident, Parallelism::sequential())
+        .evaluate(
+            &[&inputs],
+            Some(&resident.view_for(&compiled)),
+            Parallelism::sequential(),
+            EvalBudget::UNLIMITED,
+        )
         .unwrap();
     std::thread::scope(|scope| {
         for _ in 0..4 {
@@ -176,10 +212,11 @@ fn concurrent_parallel_evaluations_share_one_resident_db() {
             scope.spawn(move || {
                 for threads in [2usize, 4] {
                     let (out, stats) = compiled
-                        .evaluate_resident_par(
+                        .evaluate(
                             &[inputs],
-                            &resident,
+                            Some(&resident.view_for(&compiled)),
                             Parallelism::threads(threads).with_threshold(0),
+                            EvalBudget::UNLIMITED,
                         )
                         .unwrap();
                     assert_eq!(&out, expected);

@@ -166,7 +166,7 @@ impl Store {
 mod tests {
     use super::*;
     use crate::{DurableStore, FsyncPolicy, MemVfs};
-    use rtx_datalog::{parse_program, CompiledProgram};
+    use rtx_datalog::{parse_program, CompiledProgram, EvalBudget, Parallelism};
     use rtx_relational::Value;
 
     fn price(product: &str, amount: i64) -> Tuple {
@@ -233,9 +233,15 @@ mod tests {
     fn join_via_store() {
         let s = sample_store();
         let program = parse_program("offer(P, A) :- available(P), price(P, A).").unwrap();
-        let (joined, _) = CompiledProgram::compile(&program)
-            .unwrap()
-            .evaluate_resident(&[], s.database())
+        let compiled = CompiledProgram::compile(&program).unwrap();
+        let view = s.database().view_for(&compiled);
+        let (joined, _) = compiled
+            .evaluate(
+                &[],
+                Some(&view),
+                Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
             .unwrap();
         let offers = joined.relation("offer").unwrap();
         assert_eq!(offers.len(), 1);
@@ -325,11 +331,25 @@ mod tests {
         s.database().prepare_for(&program);
         assert_eq!(s.database().index_count(), 1);
         let builds = s.database().index_builds();
-        let (rows, _) = program.evaluate_resident(&[], s.database()).unwrap();
+        let (rows, _) = program
+            .evaluate(
+                &[],
+                Some(&s.database().view_for(&program)),
+                Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
+            .unwrap();
         assert_eq!(rows.relation("hit").unwrap().len(), 1);
         assert_eq!(s.database().index_builds(), builds);
         s.insert("price", price("herald", 845)).unwrap();
-        let (rows, _) = program.evaluate_resident(&[], s.database()).unwrap();
+        let (rows, _) = program
+            .evaluate(
+                &[],
+                Some(&s.database().view_for(&program)),
+                Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
+            .unwrap();
         assert_eq!(rows.relation("hit").unwrap().len(), 2);
         assert_eq!(s.database().index_builds(), builds + 1);
     }

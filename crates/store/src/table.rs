@@ -5,7 +5,7 @@
 #[cfg(test)]
 mod tests {
     use crate::{Store, StoreError};
-    use rtx_datalog::{parse_program, CompiledProgram};
+    use rtx_datalog::{parse_program, CompiledProgram, EvalBudget, Parallelism};
     use rtx_relational::{Instance, RelationName, Tuple, Value};
 
     fn price(product: &str, amount: i64) -> Tuple {
@@ -29,12 +29,28 @@ mod tests {
     /// `program` over the catalog's resident database, through the indexes
     /// it prepares.
     fn query(store: &Store, program: &CompiledProgram) -> Instance {
-        program.evaluate_resident(&[], store.database()).unwrap().0
+        program
+            .evaluate(
+                &[],
+                Some(&store.database().view_for(program)),
+                Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
+            .unwrap()
+            .0
     }
 
     /// `program` over a plain snapshot of the catalog: no prepared index.
     fn query_unprepared(store: &Store, program: &CompiledProgram) -> Instance {
-        program.evaluate(&[&store.snapshot()]).unwrap().0
+        program
+            .evaluate(
+                &[&store.snapshot()],
+                None,
+                Parallelism::default(),
+                EvalBudget::UNLIMITED,
+            )
+            .unwrap()
+            .0
     }
 
     fn holds(store: &Store, row: &Tuple) -> bool {

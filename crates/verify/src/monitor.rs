@@ -43,7 +43,7 @@ use crate::temporal::step_satisfies;
 use crate::VerifyError;
 use rtx_core::{CoreError, SessionObserver, SpocusTransducer, Violation, ViolationKind};
 use rtx_datalog::{
-    Atom, BodyLiteral, ChangeClass, CompiledProgram, Parallelism, Program, ResidentDb,
+    Atom, BodyLiteral, ChangeClass, CompiledProgram, EvalBudget, Parallelism, Program, ResidentDb,
     ResidentView, Rule, StepEvaluator,
 };
 use rtx_logic::{Formula, Term};
@@ -437,7 +437,12 @@ impl SessionObserver for SessionMonitor {
         }
         let (derived, stats) = gate
             .program
-            .evaluate_with_view_par(&[input, &self.state], Some(&gate.view), self.parallelism)
+            .evaluate(
+                &[input, &self.state],
+                Some(&gate.view),
+                self.parallelism,
+                EvalBudget::UNLIMITED,
+            )
             .map_err(CoreError::Datalog)?;
         self.work += stats.tuples_derived;
         let mut violations = Vec::new();

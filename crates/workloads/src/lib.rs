@@ -152,7 +152,7 @@ pub fn category_catalog_schema() -> rtx_relational::Schema {
 ///
 /// `category` is keyed on its *second* column by the [`category_model`]
 /// rules, so it exercises the non-prefix hash index a resident database
-/// retains across runs (a per-run preparation rebuilds it every run).
+/// retains across sessions (a one-shot run rebuilds it every step).
 pub fn category_catalog(n_products: usize, n_categories: usize, seed: u64) -> Instance {
     let base = catalog(n_products, seed);
     let mut db = Instance::empty(&category_catalog_schema());
@@ -802,7 +802,7 @@ mod tests {
 
     #[test]
     fn wide_stratum_workload_is_one_parallel_stratum() {
-        use rtx_datalog::{CompiledProgram, Parallelism};
+        use rtx_datalog::{CompiledProgram, EvalBudget, Parallelism};
         let program = wide_stratum_program(6);
         let compiled = CompiledProgram::compile(&program).unwrap();
         assert_eq!(compiled.rules().len(), 6);
@@ -813,10 +813,20 @@ mod tests {
         // sequential, stats included.
         assert_eq!(db, wide_stratum_edb(120, 3, 6, 9));
         let (seq, seq_stats) = compiled
-            .evaluate_par(&[&db], Parallelism::sequential())
+            .evaluate(
+                &[&db],
+                None,
+                Parallelism::sequential(),
+                EvalBudget::UNLIMITED,
+            )
             .unwrap();
         let (par, par_stats) = compiled
-            .evaluate_par(&[&db], Parallelism::threads(4).with_threshold(0))
+            .evaluate(
+                &[&db],
+                None,
+                Parallelism::threads(4).with_threshold(0),
+                EvalBudget::UNLIMITED,
+            )
             .unwrap();
         assert_eq!(seq, par);
         assert_eq!(seq_stats, par_stats);

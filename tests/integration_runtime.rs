@@ -1,22 +1,50 @@
 //! Integration tests for the resident runtime: cross-session equivalence
-//! with one-shot runs (randomly interleaved and multi-threaded), the
-//! delta-only join guarantee of incremental steps, amortized index
-//! preparation across runs, and the store → resident bridge.
+//! with one-shot runs (randomly interleaved and multi-threaded) and with the
+//! §2 reference across a catalog change, the delta-only join guarantee of
+//! incremental steps, amortized index preparation across sessions, and the
+//! store → resident bridge.
 
 use proptest::prelude::*;
 use rtx::core::Runtime;
 use rtx::datalog::ResidentDb;
 use rtx::prelude::*;
 use rtx::store::Store;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn model() -> SpocusTransducer {
     rtx::workloads::category_model()
 }
 
+/// A model over the `category` catalog whose `watch` and `unpaid` rules have
+/// no volatile positive atom, so a session's step evaluator caches their
+/// joins and re-checks only the deferred negations each step: `watch`
+/// negates an input relation (volatile), `unpaid` a state relation
+/// (grow-only).
+fn cached_model() -> SpocusTransducer {
+    SpocusBuilder::new("cached")
+        .input("order", 1)
+        .input("pay", 2)
+        .database("price", 2)
+        .database("available", 1)
+        .database("category", 2)
+        .output("sendbill", 2)
+        .output("watch", 1)
+        .output("unpaid", 2)
+        .output_rule("sendbill(X,Y) :- order(X), price(X,Y), NOT past-pay(X,Y)")
+        .output_rule("watch(X) :- past-order(X), available(X), NOT order(X)")
+        .output_rule("unpaid(X,Y) :- past-order(X), price(X,Y), NOT past-pay(X,Y)")
+        .log(["sendbill", "pay", "unpaid"])
+        .build()
+        .unwrap()
+}
+
 /// N isolated one-shot runs of the fleet.
-fn isolated_runs(db: &Instance, fleet: &[InstanceSequence]) -> Vec<Run> {
-    let transducer = model();
+fn isolated_runs(
+    transducer: &SpocusTransducer,
+    db: &Instance,
+    fleet: &[InstanceSequence],
+) -> Vec<Run> {
     fleet
         .iter()
         .map(|inputs| transducer.run(db, inputs).unwrap())
@@ -25,7 +53,9 @@ fn isolated_runs(db: &Instance, fleet: &[InstanceSequence]) -> Vec<Run> {
 
 proptest! {
     /// N sessions interleaved in an arbitrary order over one shared
-    /// `ResidentDb` produce bit-identical runs to N isolated `run()` calls.
+    /// `ResidentDb` produce bit-identical runs to N isolated `run()` calls,
+    /// for the `category` model and for one whose rules the step evaluator
+    /// caches.
     #[test]
     fn interleaved_sessions_match_isolated_runs(
         sessions in 2usize..5,
@@ -36,33 +66,35 @@ proptest! {
         let products = 12;
         let db = rtx::workloads::category_catalog(products, 3, seed);
         let fleet = rtx::workloads::session_fleet(&db, sessions, steps, products, 0.8, seed);
-        let expected = isolated_runs(&db, &fleet);
+        for transducer in [model(), cached_model()] {
+            let expected = isolated_runs(&transducer, &db, &fleet);
+            let runtime = Runtime::new(ResidentDb::new(db.clone()));
+            let transducer = Arc::new(transducer);
+            let mut open: Vec<_> = (0..sessions)
+                .map(|i| {
+                    runtime
+                        .open_session(format!("customer-{i}"), Arc::clone(&transducer))
+                        .unwrap()
+                })
+                .collect();
+            let mut cursor = vec![0usize; sessions];
 
-        let runtime = Runtime::new(ResidentDb::new(db));
-        let transducer = Arc::new(model());
-        let mut open: Vec<_> = (0..sessions)
-            .map(|i| {
-                runtime
-                    .open_session(format!("customer-{i}"), Arc::clone(&transducer))
-                    .unwrap()
-            })
-            .collect();
-        let mut cursor = vec![0usize; sessions];
-
-        // Feed steps in the generated interleaving, then flush what is left.
-        let flush: Vec<usize> = (0..sessions).cycle().take(sessions * steps).collect();
-        for pick in schedule.iter().copied().chain(flush) {
-            let s = pick % sessions;
-            if cursor[s] < steps {
-                open[s].step(fleet[s].get(cursor[s]).unwrap()).unwrap();
-                cursor[s] += 1;
+            // Feed steps in the generated interleaving, then flush what is
+            // left.
+            let flush: Vec<usize> = (0..sessions).cycle().take(sessions * steps).collect();
+            for pick in schedule.iter().copied().chain(flush) {
+                let s = pick % sessions;
+                if cursor[s] < steps {
+                    open[s].step(fleet[s].get(cursor[s]).unwrap()).unwrap();
+                    cursor[s] += 1;
+                }
             }
-        }
 
-        for (session, expected) in open.iter().zip(&expected) {
-            prop_assert_eq!(session.len(), expected.len());
-            prop_assert_eq!(&session.run().unwrap(), expected,
-                "session run diverged from the isolated run");
+            for (session, expected) in open.iter().zip(&expected) {
+                prop_assert_eq!(session.len(), expected.len());
+                prop_assert_eq!(&session.run().unwrap(), expected,
+                    "{} session run diverged from the isolated run", transducer.name());
+            }
         }
     }
 }
@@ -76,7 +108,7 @@ fn concurrent_sessions_match_isolated_runs() {
     let steps = 12;
     let db = rtx::workloads::category_catalog(products, 6, 42);
     let fleet = rtx::workloads::session_fleet(&db, sessions, steps, products, 0.9, 42);
-    let expected = isolated_runs(&db, &fleet);
+    let expected = isolated_runs(&model(), &db, &fleet);
 
     let runtime = Runtime::new(ResidentDb::new(db));
     let transducer = Arc::new(model());
@@ -115,7 +147,7 @@ fn concurrent_parallel_sessions_match_isolated_sequential_runs() {
     let steps = 10;
     let db = rtx::workloads::category_catalog(products, 6, 7);
     let fleet = rtx::workloads::session_fleet(&db, sessions, steps, products, 0.9, 7);
-    let expected = isolated_runs(&db, &fleet);
+    let expected = isolated_runs(&model(), &db, &fleet);
 
     let policy = rtx::datalog::Parallelism::threads(4).with_threshold(0);
     let runtime = Runtime::shared_with(Arc::new(ResidentDb::new(db)), policy);
@@ -144,17 +176,6 @@ fn concurrent_parallel_sessions_match_isolated_sequential_runs() {
         produced, expected,
         "parallel concurrent sessions diverged from sequential isolated runs"
     );
-
-    // The one-shot parallel entry point agrees too.
-    let resident = transducer
-        .compiled_output_program()
-        .prepare(expected[0].db());
-    for (inputs, expected) in fleet.iter().zip(&expected) {
-        let run = transducer
-            .run_resident_with(&resident, inputs, policy)
-            .unwrap();
-        assert_eq!(&run, expected);
-    }
 }
 
 /// The derivation-counter pin: after the caches are seeded, step *i+1* joins
@@ -224,27 +245,39 @@ fn incremental_steps_join_only_the_delta() {
     );
 }
 
-/// Resident preparation is amortized: 100 runs over a 10k-product catalog
-/// build the non-prefix `category` index exactly once, and a catalog
-/// mutation triggers exactly one rebuild of the touched relation's index.
+/// Resident preparation is amortized: 100 sessions on one runtime over a
+/// 10k-product catalog build the non-prefix `category` index exactly once,
+/// and a catalog mutation triggers exactly one rebuild of the touched
+/// relation's index.
 #[test]
 fn resident_preparation_is_amortized_across_100_runs() {
     let products = 10_000;
-    let transducer = model();
+    let transducer = Arc::new(model());
     let db = rtx::workloads::category_catalog(products, 50, 1);
     let fleet = rtx::workloads::session_fleet(&db, 100, 2, products, 0.9, 3);
 
-    let resident = transducer.compiled_output_program().prepare(&db);
+    let resident = Arc::new(transducer.compiled_output_program().prepare(&db));
     assert_eq!(resident.index_builds(), 1, "category/[1] built at prepare");
+    let runtime = Runtime::shared(Arc::clone(&resident));
+    let run_session = |i: usize, inputs: &InstanceSequence| {
+        let mut session = runtime
+            .open_session(format!("customer-{i}"), Arc::clone(&transducer))
+            .unwrap();
+        for input in inputs.iter() {
+            session.step(input).unwrap();
+        }
+        session.run().unwrap()
+    };
 
     let runs: Vec<Run> = fleet
         .iter()
-        .map(|inputs| transducer.run_resident(&resident, inputs).unwrap())
+        .enumerate()
+        .map(|(i, inputs)| run_session(i, inputs))
         .collect();
     assert_eq!(
         resident.index_builds(),
         1,
-        "100 resident runs must not rebuild the prepared index"
+        "100 sessions must not rebuild the prepared index"
     );
 
     // Spot-check equivalence with the one-shot path on the first session.
@@ -254,9 +287,103 @@ fn resident_preparation_is_amortized_across_100_runs() {
     resident
         .insert("category", Tuple::from_iter(["cat-0", "brand-new-product"]))
         .unwrap();
-    transducer.run_resident(&resident, &fleet[0]).unwrap();
-    transducer.run_resident(&resident, &fleet[1]).unwrap();
+    run_session(0, &fleet[0]);
+    run_session(1, &fleet[1]);
     assert_eq!(resident.index_builds(), 2);
+}
+
+/// Sessions against the §2 reference across a catalog change: every step of
+/// every session equals `output_step`/`state_step` over the catalog as it
+/// stood just before that step, while six `available` rows are retracted
+/// between steps 2 and 3.  The cached `watch` rule joins `available`, so its
+/// cached rows must be dropped when the catalog shrinks under them.
+#[test]
+fn sessions_match_the_reference_across_a_catalog_change() {
+    let products = 12;
+    let steps = 5;
+    let transducer = Arc::new(cached_model());
+    let db_names: BTreeSet<RelationName> = transducer.schema().db().names().cloned().collect();
+    for seed in 0..20u64 {
+        let db = rtx::workloads::category_catalog(products, 3, seed);
+        let fleet = rtx::workloads::session_fleet(&db, 3, steps, products, 0.8, seed);
+        let retracted: Vec<Tuple> = db
+            .relation("available")
+            .unwrap()
+            .iter()
+            .take(6)
+            .cloned()
+            .collect();
+        assert_eq!(retracted.len(), 6, "seed {seed}: too few available rows");
+
+        let runtime = Runtime::new(ResidentDb::new(db));
+        let mut sessions: Vec<_> = (0..fleet.len())
+            .map(|i| {
+                runtime
+                    .open_session(format!("customer-{i}"), Arc::clone(&transducer))
+                    .unwrap()
+            })
+            .collect();
+        let mut states = vec![Instance::empty(transducer.schema().state()); fleet.len()];
+        for step in 0..steps {
+            if step == 2 {
+                for tuple in &retracted {
+                    runtime.database().retract("available", tuple).unwrap();
+                }
+            }
+            let catalog = runtime.database().snapshot().restrict_to_set(&db_names);
+            for ((session, inputs), state) in sessions.iter_mut().zip(&fleet).zip(&mut states) {
+                let input = inputs.get(step).unwrap();
+                let expected = transducer.output_step(input, state, &catalog).unwrap();
+                *state = transducer.state_step(input, state, &catalog).unwrap();
+                assert_eq!(
+                    session.step(input).unwrap(),
+                    expected,
+                    "seed {seed}, step {step}: output diverged from the reference"
+                );
+                assert_eq!(
+                    session.state(),
+                    &*state,
+                    "seed {seed}, step {step}: state diverged from the reference"
+                );
+            }
+        }
+    }
+}
+
+/// A session's own run stays auditable after the catalog moves under it.  A
+/// `category` session orders `p0` and is billed at the listed price; the
+/// catalog then reprices `p0`, and the session takes an empty step.
+/// `Session::run` records the catalog as of the call rather than per step,
+/// so Theorem 3.1 log validation rejects the log the session produced.
+#[test]
+#[ignore = "item 16b"]
+fn a_session_run_validates_after_a_mid_run_reprice() {
+    let db = rtx::workloads::category_catalog(12, 3, 1);
+    let listed = rtx::workloads::price_of(&db, "p0").unwrap();
+    let runtime = Runtime::new(ResidentDb::new(db));
+    let transducer = Arc::new(model());
+    let mut session = runtime
+        .open_session("repriced", Arc::clone(&transducer))
+        .unwrap();
+    let input_schema = transducer.schema().input().clone();
+    let mut order = Instance::empty(&input_schema);
+    order.insert("order", Tuple::from_iter(["p0"])).unwrap();
+    let billed = Tuple::new(vec![Value::str("p0"), Value::int(listed)]);
+    assert!(session.step(&order).unwrap().holds("sendbill", &billed));
+
+    let catalog = runtime.database();
+    catalog.retract("price", &billed).unwrap();
+    catalog
+        .insert(
+            "price",
+            Tuple::new(vec![Value::str("p0"), Value::int(listed + 1)]),
+        )
+        .unwrap();
+    session.step(&Instance::empty(&input_schema)).unwrap();
+
+    let run = session.run().unwrap();
+    let verdict = validate_log(&transducer, run.db(), run.log()).unwrap();
+    assert!(verdict.is_valid(), "the session's own log must validate");
 }
 
 /// Store → resident bridge: a sync keeps a runtime's own copy of the catalog

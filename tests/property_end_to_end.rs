@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use rtx::core::{models, DemandPolicy, Runtime, SessionDemand, SessionGoal};
 use rtx::datalog::{
     evaluate_nonrecursive, evaluate_stratified, Adornment, Atom, BodyLiteral, CompiledProgram,
-    DemandGoal, DredEngine, EvalOptions, FixpointStrategy, MutationBatch, Parallelism, Program,
-    ResidentDb, Rule,
+    DemandGoal, DredEngine, EvalBudget, EvalOptions, FixpointStrategy, MutationBatch, Parallelism,
+    Program, ResidentDb, Rule,
 };
 use rtx::logic::Term;
 use rtx::prelude::*;
@@ -271,7 +271,14 @@ proptest! {
             for engine in engines.iter_mut() {
                 engine.apply(&batch).unwrap();
             }
-            let (oracle, _) = compiled.evaluate(&[engines[0].database()]).unwrap();
+            let (oracle, _) = compiled
+                .evaluate(
+                    &[engines[0].database()],
+                    None,
+                    Parallelism::default(),
+                    EvalBudget::UNLIMITED,
+                )
+                .unwrap();
             for engine in &engines {
                 prop_assert_eq!(
                     engine.derived(), &oracle,
@@ -341,8 +348,14 @@ proptest! {
                 let state_before = session.state().clone();
                 let out = session.step(&input).unwrap();
                 let snapshot = resident.snapshot();
-                let (oracle_derived, _) =
-                    compiled.evaluate(&[&input, &state_before, &snapshot]).unwrap();
+                let (oracle_derived, _) = compiled
+                    .evaluate(
+                        &[&input, &state_before, &snapshot],
+                        None,
+                        Parallelism::default(),
+                        EvalBudget::UNLIMITED,
+                    )
+                    .unwrap();
                 let mut oracle = Instance::empty(transducer.schema().output());
                 oracle.absorb(&oracle_derived).unwrap();
                 prop_assert_eq!(
@@ -424,12 +437,14 @@ proptest! {
             .expect("seed relations are disjoint from the database");
 
         let compiled = CompiledProgram::compile(&program).unwrap();
-        let (full, _) = compiled.evaluate(&[&db]).unwrap();
+        let (full, _) = compiled
+            .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+            .unwrap();
         let expected = rewrite.footprint(&full);
 
         let rewritten = CompiledProgram::compile_demand_program(rewrite.clone()).unwrap();
         let (sequential, _) = rewritten
-            .evaluate_par(&[&sources], Parallelism::sequential())
+            .evaluate(&[&sources], None, Parallelism::sequential(), EvalBudget::UNLIMITED)
             .unwrap();
         prop_assert_eq!(
             &sequential, &expected,
@@ -437,7 +452,9 @@ proptest! {
         );
         for threads in [1usize, 2, 8] {
             let policy = Parallelism::threads(threads).with_threshold(0);
-            let (parallel, _) = rewritten.evaluate_par(&[&sources], policy).unwrap();
+            let (parallel, _) = rewritten
+                .evaluate(&[&sources], None, policy, EvalBudget::UNLIMITED)
+                .unwrap();
             prop_assert_eq!(
                 &parallel, &sequential,
                 "rewritten program drifted at {} threads\n{}", threads, program
@@ -545,7 +562,9 @@ proptest! {
         db in random_edb_strategy(),
     ) {
         let compiled = CompiledProgram::compile(&program).unwrap();
-        let (fast, _) = compiled.evaluate(&[&db]).unwrap();
+        let (fast, _) = compiled
+            .evaluate(&[&db], None, Parallelism::default(), EvalBudget::UNLIMITED)
+            .unwrap();
         let (naive, _) = evaluate_stratified(&program, &db, EvalOptions {
             strategy: FixpointStrategy::Naive,
             ..EvalOptions::default()
@@ -576,12 +595,13 @@ proptest! {
         db in random_edb_strategy(),
     ) {
         let compiled = CompiledProgram::compile(&program).unwrap();
-        let (sequential, sequential_stats) =
-            compiled.evaluate_par(&[&db], Parallelism::sequential()).unwrap();
+        let (sequential, sequential_stats) = compiled
+            .evaluate(&[&db], None, Parallelism::sequential(), EvalBudget::UNLIMITED)
+            .unwrap();
         for threads in [1usize, 2, 8] {
             let policy = Parallelism::threads(threads).with_threshold(0);
             let (parallel, parallel_stats) =
-                compiled.evaluate_par(&[&db], policy).unwrap();
+                compiled.evaluate(&[&db], None, policy, EvalBudget::UNLIMITED).unwrap();
             prop_assert_eq!(
                 &parallel, &sequential,
                 "parallel ≠ sequential at {} threads\n{}", threads, program
