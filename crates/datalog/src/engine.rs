@@ -7,8 +7,7 @@
 //!   order in a single pass;
 //! * [`evaluate_stratified`] — the reference evaluation of stratified
 //!   datalog¬, iterating each stratum to a fixpoint with either naive or
-//!   semi-naive evaluation ([`FixpointStrategy`]).  This is the substrate
-//!   ablation the benchmarks exercise (`datalog_eval`).
+//!   semi-naive evaluation ([`FixpointStrategy`]).
 //!
 //! Both interpreter paths re-analyse the program on every call and join with
 //! nested scans, and neither hands work to the compiled engine in
@@ -137,7 +136,10 @@ impl EvalBudget {
     }
 }
 
-/// Statistics from an evaluation, for the benchmark harness.
+/// Statistics from an evaluation: exact work counts, which tests pin
+/// (`storefront_demand_cost_is_catalog_independent`, the flatness fence in
+/// `crates/front/tests/alloc_budget.rs`) and the `rtx-ledger` benchmark
+/// reports (`datalog.tuples_derived_per_step`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Number of rule applications (a rule evaluated against one database

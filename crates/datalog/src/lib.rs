@@ -22,8 +22,7 @@
 //! * [`engine`] — the reference interpreter: single-pass evaluation of
 //!   non-recursive programs in topological order, and a stratified fixpoint
 //!   engine with both naive and semi-naive iteration for general (recursive)
-//!   programs, used as the oracle by the ablation benchmarks and the
-//!   randomized equivalence tests;
+//!   programs, used as the oracle by the randomized equivalence tests;
 //! * [`compile`] — the production evaluation path: one-time rule compilation
 //!   (safety, stratification, slot-resolved registers, greedy bound-prefix
 //!   join ordering) plus hash-indexed joins, so a transducer that evaluates

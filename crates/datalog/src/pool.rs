@@ -59,7 +59,7 @@ const RTX_THREADS_EXPECTED: &str = "a positive integer worker count";
 
 /// The process's available parallelism, resolved once.  An `RTX_THREADS`
 /// environment variable (a positive integer) overrides the detected core
-/// count — the benchmark harness and container deployments use it to pin
+/// count — container deployments and test runs use it to pin
 /// auto parallelism without touching every [`Parallelism`] call site.
 /// `std::thread::available_parallelism` inspects the cgroup filesystem on
 /// Linux — far too expensive to query per evaluation step.
@@ -126,7 +126,8 @@ impl Parallelism {
     }
 
     /// Always evaluate on the calling thread (bit-identical results; the
-    /// baseline of the determinism tests and benches).
+    /// baseline of the determinism tests, and of the ledger's
+    /// `datalog.pool_speedup`).
     pub fn sequential() -> Self {
         Parallelism {
             threads: 1,

@@ -59,7 +59,8 @@ struct ResidentInner {
     counter: u64,
     indexes: FxHashMap<(RelationName, Vec<usize>), IndexEntry>,
     /// Total number of index builds ever performed — the instrumentation
-    /// hook the amortization tests and benches pin.
+    /// hook the amortization tests pin and the ledger reports as
+    /// `datalog.index_builds_per_mutation`.
     index_builds: u64,
 }
 

@@ -71,7 +71,7 @@
 
 use rtx_core::{models, SessionDemand, ShardedRuntime, ShardedSession, SpocusTransducer};
 use rtx_datalog::{Parallelism, ResidentDb};
-use rtx_relational::{Instance, Schema, Tuple, Value};
+use rtx_relational::{Instance, RelationalError, Schema, Tuple, Value};
 use rtx_workloads::scenarios::{self, Scenario};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -178,17 +178,43 @@ pub fn combined_catalog() -> Instance {
 /// of `schema`.  Values parsing as `i64` become integers, everything else a
 /// string symbol — the inverse of [`render_instance`] for the value shapes
 /// the bundled workloads use.
+///
+/// Every fact is checked against `schema` before any value is built: a
+/// string value is interned into the process-wide symbol table for good,
+/// so a rejected spec interns nothing.
 pub fn parse_facts(spec: &str, schema: &Schema) -> Result<Instance, String> {
     let mut instance = Instance::empty(schema);
     let spec = spec.trim();
     if spec == "-" || spec.is_empty() {
         return Ok(instance);
     }
-    for fact in spec.split(';').filter(|f| !f.is_empty()) {
-        let (relation, args) = fact
-            .strip_suffix(')')
-            .and_then(|f| f.split_once('('))
-            .ok_or_else(|| format!("malformed fact `{fact}`: expected rel(v,...)"))?;
+    for fact in split_facts(spec) {
+        let (relation, args) = fact?;
+        let expected = schema
+            .iter()
+            .find_map(|(name, arity)| (name.as_str() == relation).then_some(arity))
+            .ok_or_else(|| {
+                RelationalError::UnknownRelation {
+                    name: relation.to_string(),
+                }
+                .to_string()
+            })?;
+        let actual = if args.is_empty() {
+            0
+        } else {
+            args.split(',').count()
+        };
+        if actual != expected {
+            return Err(RelationalError::ArityMismatch {
+                relation: relation.to_string(),
+                expected,
+                actual,
+            }
+            .to_string());
+        }
+    }
+    for fact in split_facts(spec) {
+        let (relation, args) = fact?;
         let values: Vec<Value> = if args.is_empty() {
             Vec::new()
         } else {
@@ -199,6 +225,15 @@ pub fn parse_facts(spec: &str, schema: &Schema) -> Result<Instance, String> {
             .map_err(|e| e.to_string())?;
     }
     Ok(instance)
+}
+
+/// The `(relation, arguments)` text of each fact of a non-empty spec.
+fn split_facts(spec: &str) -> impl Iterator<Item = Result<(&str, &str), String>> {
+    spec.split(';').filter(|f| !f.is_empty()).map(|fact| {
+        fact.strip_suffix(')')
+            .and_then(|f| f.split_once('('))
+            .ok_or_else(|| format!("malformed fact `{fact}`: expected rel(v,...)"))
+    })
 }
 
 fn parse_value(token: &str) -> Value {

@@ -2,8 +2,10 @@
 //! warm wire `STEP` and per `OPEN` against a loopback [`FrontServer`], plus
 //! the allocation-free empty relation, and the in-process cost of building
 //! derived relations: a catalog-wide step, a bulk build, a shared duplicate
-//! insert.  Counts are exact and repeat on every
-//! run, so unlike a timer they can gate tier-1 on a shared 2-core box.
+//! insert.  One fence compares instead of bounding: a `short` session's
+//! steps must derive and allocate exactly as much against a 10,000-product
+//! catalog as against a 1,000-product one.  Counts are exact and repeat on
+//! every run, so unlike a timer they can gate tier-1 on a shared 2-core box.
 //!
 //! Each count covers every thread of the process — the test's raw client
 //! (which allocates nothing once warm), the connection thread and the shard
@@ -44,7 +46,7 @@
 //! plus retract pair, by this same test; the budget is
 //! [`DURABLE_PAIR`].
 
-use rtx_core::Runtime;
+use rtx_core::{models, Runtime};
 use rtx_datalog::{Parallelism, ResidentDb};
 use rtx_front::{combined_catalog, render_instance, FrontConfig, FrontServer};
 use rtx_relational::{InstanceSequence, Relation, Tuple, Value};
@@ -330,6 +332,62 @@ fn an_undemanded_storefront_step_stays_within_its_allocation_budget() {
     let (least, most) = (costs.iter().min().unwrap(), costs.iter().max().unwrap());
     eprintln!("in-process undemanded storefront: STEP {least}–{most}");
     assert!(*most <= STEP_STOREFRONT_FULL, "{costs:?}");
+}
+
+/// Products the fixed `short` session of the flatness fence orders from.
+const SESSION_PRODUCTS: usize = 16;
+
+/// A fixed 4-step `short` session over the first [`SESSION_PRODUCTS`]
+/// products, stepped in process against `catalog(products)`: the summed
+/// `tuples_derived` of one session, and each step's allocations, the
+/// minimum over the sessions after a warm one.
+fn short_session_costs(inputs: &InstanceSequence, products: usize) -> (u64, Vec<u64>) {
+    let db = Arc::new(ResidentDb::new(rtx_workloads::catalog(products, 1)));
+    let runtime = Runtime::shared_with(db, Parallelism::sequential());
+    let model = Arc::new(models::short());
+    let mut derived = 0;
+    let mut costs = vec![u64::MAX; inputs.len()];
+    for repeat in 0..=REPEATS {
+        let name = format!("short-{repeat}");
+        let mut session = runtime.open_session(name, Arc::clone(&model)).unwrap();
+        derived = 0;
+        for (cost, input) in costs.iter_mut().zip(inputs.iter()) {
+            let before = allocations();
+            session.step(input).unwrap();
+            let took = allocations() - before;
+            derived += session.last_stats().tuples_derived;
+            if repeat > 0 {
+                *cost = (*cost).min(took);
+            }
+        }
+    }
+    (derived, costs)
+}
+
+#[test]
+fn a_short_step_is_flat_in_the_catalog_size() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Catalogs are prefix-deterministic: the session's products carry the
+    // same prices in both, so both catalogs see the same inputs.
+    let inputs = rtx_workloads::customer_session(
+        &rtx_workloads::catalog(SESSION_PRODUCTS, 1),
+        4,
+        SESSION_PRODUCTS,
+        0.9,
+        3,
+    );
+    let small = short_session_costs(&inputs, 1_000);
+    let large = short_session_costs(&inputs, 10_000);
+    eprintln!(
+        "short session, 1,000 products: {} tuples derived, STEP {:?}",
+        small.0, small.1
+    );
+    eprintln!(
+        "short session, 10,000 products: {} tuples derived, STEP {:?}",
+        large.0, large.1
+    );
+    assert!(small.0 > 0);
+    assert_eq!(small, large);
 }
 
 /// Tuples in the bulk-built relation.

@@ -28,7 +28,23 @@
 use crate::{FiniteStructure, Formula, LogicError, Term};
 use rtx_relational::{RelationName, Value};
 use rtx_sat::{solve_formula, PropFormula, SatResult, Var};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+
+thread_local! {
+    static GROUNDED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Running totals `(ground_nodes, ground_atoms)` over every grounding
+/// [`solve_bs_with_stats`] has attempted on this thread, every candidate
+/// domain size included.
+///
+/// This is a test hook: the decision procedures built on this module report
+/// no statistics of their own, so a test pins what one of them grounds by
+/// reading this counter before and after the call.
+pub fn grounding_count() -> (u64, u64) {
+    GROUNDED.with(Cell::get)
+}
 
 /// Default budget on the number of propositional nodes a single grounding may
 /// produce.  The NEXPTIME lower bound is real: exceeding the budget returns
@@ -116,7 +132,8 @@ impl BsOutcome {
     }
 }
 
-/// Statistics about the grounding, for the benchmark harness.
+/// Statistics about the grounding: exact sizes, so tests can pin them
+/// (`crates/verify/tests/grounding_budget.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroundingStats {
     /// Domain size of the last grounding attempted.
@@ -172,7 +189,15 @@ pub fn solve_bs_with_stats(problem: &BsProblem) -> Result<(BsOutcome, GroundingS
         stats.domain_size = domain.len();
 
         let mut grounder = Grounder::new(problem, &domain, problem.node_limit);
-        let prop = grounder.ground(&nnf, &BTreeMap::new())?;
+        let prop = grounder.ground(&nnf, &BTreeMap::new());
+        GROUNDED.with(|total| {
+            let (nodes, atoms) = total.get();
+            total.set((
+                nodes + grounder.nodes as u64,
+                atoms + grounder.atoms.len() as u64,
+            ));
+        });
+        let prop = prop?;
         stats.ground_nodes = grounder.nodes;
         stats.ground_atoms = grounder.atoms.len();
 
@@ -540,6 +565,42 @@ mod tests {
         assert!(stats.domain_size >= 1);
         assert!(stats.ground_nodes > 0);
         assert!(stats.domains_tried >= 1);
+    }
+
+    #[test]
+    fn grounding_count_totals_every_domain_tried() {
+        // `∀x∀y x = y` beside one witness and no constant: the one-element
+        // domain is the only candidate, and it decides the sentence.
+        let f = Formula::and(vec![
+            Formula::exists(["z"], atom("R", &["z"])),
+            Formula::forall(["x", "y"], Formula::eq(Term::var("x"), Term::var("y"))),
+        ]);
+        let before = grounding_count();
+        let (outcome, stats) = solve_bs_with_stats(&BsProblem::new(f)).unwrap();
+        let after = grounding_count();
+        assert!(outcome.is_satisfiable());
+        assert_eq!(stats.domains_tried, 1);
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (stats.ground_nodes as u64, stats.ground_atoms as u64)
+        );
+
+        // An unsatisfiable sentence tries every candidate size, and the
+        // counter adds up all of them, not just the last.
+        let g = Formula::and(vec![
+            Formula::exists(
+                ["x", "y"],
+                Formula::and(vec![atom("R", &["x"]), atom("R", &["y"])]),
+            ),
+            Formula::forall(["z"], Formula::not(atom("R", &["z"]))),
+        ]);
+        let before = grounding_count();
+        let (outcome, stats) = solve_bs_with_stats(&BsProblem::new(g)).unwrap();
+        let after = grounding_count();
+        assert_eq!(outcome, BsOutcome::Unsatisfiable);
+        assert_eq!(stats.domains_tried, 2);
+        assert!(after.0 - before.0 > stats.ground_nodes as u64);
+        assert!(after.1 - before.1 > stats.ground_atoms as u64);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   customization containment, `T_sdi` enforcement, error-free-run
 //!   verification, and the online session monitor behind the runtime
 //!   guardrails;
-//! * [`workloads`] — synthetic catalogs, customer sessions and scalable model
-//!   families for the benchmarks.
+//! * [`workloads`] — synthetic catalogs, customer and browsing sessions,
+//!   catalog mutation streams and the business models of the tests, the
+//!   count fences and the `rtx-ledger` benchmark.
 //!
 //! ## Quickstart
 //!

@@ -136,7 +136,7 @@ impl PropFormula {
         }
     }
 
-    /// Structural size (number of nodes), used by the benchmarks to report
+    /// Structural size (number of nodes): an exact measure of
     /// grounded-formula growth.
     pub fn size(&self) -> usize {
         match self {

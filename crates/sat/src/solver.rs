@@ -50,7 +50,8 @@ impl SatResult {
     }
 }
 
-/// Solver statistics, exposed for the benchmark harness.
+/// Solver statistics: exact counts of the search's work, deterministic for
+/// a given formula.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of decisions made.

@@ -1,11 +1,16 @@
 //! # rtx-workloads
 //!
-//! Synthetic workload generators for the benchmark harness and the
-//! integration tests: product catalogs, customer input sequences, audited
-//! logs (valid and tampered), and scalable families of Spocus business
-//! models.  The paper reports no measured workloads, so these generators
-//! stand in for them: they exercise the same code paths (runs, log
-//! validation, reachability, containment) at controllable sizes.
+//! Synthetic workload generators for the integration tests, the count
+//! fences (`crates/verify/tests/grounding_budget.rs`,
+//! `crates/front/tests/alloc_budget.rs`) and the `rtx-ledger` benchmark in
+//! `ledger/`: product catalogs, customer and browsing input sequences,
+//! catalog mutation streams, audited logs (valid and tampered), and the
+//! business models those workloads run.  The paper reports no measured
+//! workloads, so these generators stand in for them: they exercise the same
+//! code paths (runs, log validation, reachability, containment) at
+//! controllable sizes.  Every generator is deterministic in its seed, and
+//! the catalogs are prefix-deterministic: the first `k` products of a
+//! catalog carry the same prices whatever its size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,37 +25,10 @@ use rtx_relational::{Instance, InstanceSequence, Tuple, Value};
 /// A deterministic product catalog with `n_products` rows in `price` (named
 /// `p0`, `p1`, …) and roughly three quarters of them `available`.
 pub fn catalog(n_products: usize, seed: u64) -> Instance {
-    catalog_named(n_products, seed, |i| format!("p{i}"))
-}
-
-/// A 64-character product SKU, deterministic in `i`.
-///
-/// SKUs share a long `SKU-<index>-` prefix followed by hex noise, so they
-/// stress exactly what a string-keyed engine pays for: long hashes on every
-/// index key and long memcmps on every comparison.
-pub fn sku_name(i: usize) -> String {
-    let mut tail = String::with_capacity(51);
-    let mut h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    while tail.len() < 51 {
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        tail.push_str(&format!("{h:016x}"));
-    }
-    tail.truncate(51);
-    format!("SKU-{i:08}-{tail}")
-}
-
-/// A [`catalog`] whose products carry 64-character SKU names
-/// ([`sku_name`]) — the string-heavy workload of the interning benchmarks.
-pub fn sku_catalog(n_products: usize, seed: u64) -> Instance {
-    catalog_named(n_products, seed, sku_name)
-}
-
-fn catalog_named(n_products: usize, seed: u64, name_of: impl Fn(usize) -> String) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut db = Instance::empty(&models::catalog_schema());
     for i in 0..n_products {
-        let name = name_of(i);
+        let name = format!("p{i}");
         let price = rng.gen_range(1..10_000i64);
         db.insert(
             "price",
@@ -84,29 +62,6 @@ pub fn customer_session(
     honesty: f64,
     seed: u64,
 ) -> InstanceSequence {
-    session_named(db, n_steps, n_products, honesty, seed, |i| format!("p{i}"))
-}
-
-/// A [`customer_session`] over a [`sku_catalog`]: the same order/pay pattern,
-/// addressing products by their 64-character SKUs.
-pub fn sku_customer_session(
-    db: &Instance,
-    n_steps: usize,
-    n_products: usize,
-    honesty: f64,
-    seed: u64,
-) -> InstanceSequence {
-    session_named(db, n_steps, n_products, honesty, seed, sku_name)
-}
-
-fn session_named(
-    db: &Instance,
-    n_steps: usize,
-    n_products: usize,
-    honesty: f64,
-    seed: u64,
-    name_of: impl Fn(usize) -> String,
-) -> InstanceSequence {
     let mut rng = StdRng::seed_from_u64(seed);
     let schema = models::short_input_schema();
     let mut ordered: Vec<String> = Vec::new();
@@ -115,7 +70,7 @@ fn session_named(
         let mut inst = Instance::empty(&schema);
         // order one or two new products
         for _ in 0..rng.gen_range(1..=2usize) {
-            let product = name_of(rng.gen_range(0..n_products.max(1)));
+            let product = format!("p{}", rng.gen_range(0..n_products.max(1)));
             inst.insert("order", Tuple::from_iter([product.as_str()]))
                 .expect("order/1");
             ordered.push(product);
@@ -174,7 +129,8 @@ pub fn category_catalog(n_products: usize, n_categories: usize, seed: u64) -> In
     db
 }
 
-/// A business model for the multi-session/resident benchmarks: the `short`
+/// A business model for the multi-session and resident-database workloads
+/// (the ledger's fleets, the runtime and monitoring tests): the `short`
 /// billing rules plus
 ///
 /// * `promote(X,C) :- order(X), category(C,X), NOT past-order(X)` — a
@@ -204,9 +160,10 @@ pub fn category_model() -> SpocusTransducer {
         .expect("the category model is Spocus by construction")
 }
 
-/// The business model of the demand-footprint benchmarks: a storefront whose
-/// per-step output is dominated by a catalog-wide rule, probed by sessions
-/// that only ever read their own products.
+/// The business model of the demand-driven workloads (the ledger's demanded
+/// sessions, `storefront_demand_cost_is_catalog_independent`): a storefront
+/// whose per-step output is dominated by a catalog-wide rule, probed by
+/// sessions that only ever read their own products.
 ///
 /// * `detail(P,C,Y) :- browse(P), category(C,P), price(P,Y)` — the
 ///   session-local probe: one row per browsed product;
@@ -235,7 +192,7 @@ pub fn storefront_model() -> SpocusTransducer {
         .expect("the storefront model is Spocus by construction")
 }
 
-/// The per-session demand of the [`storefront_model`] benchmarks: both
+/// The per-session demand of the [`storefront_model`] workloads: both
 /// output relations probed at the products of this step's own `browse`
 /// input (binding patterns `detail@bff`, `offer@bf`).
 pub fn storefront_demand() -> rtx_core::SessionDemand {
@@ -413,7 +370,7 @@ pub enum ChurnOp {
 }
 
 /// A deterministic insert/retract/checkpoint stream of `n_ops` operations
-/// for the durability tests and benchmarks: ~70% inserts, ~20% retractions
+/// for the durability tests: ~70% inserts, ~20% retractions
 /// of live rows, ~5% checkpoints, the rest table creations.
 ///
 /// The stream is deliberately adversarial for a textual serialization
@@ -483,8 +440,7 @@ pub fn crash_churn(n_ops: usize, seed: u64) -> Vec<ChurnOp> {
 
 /// A fleet of independent customer sessions over one shared catalog: session
 /// `i` is a deterministic [`customer_session`] seeded with `seed + i` — the
-/// workload of the multi-session throughput benchmarks and the cross-session
-/// equivalence tests.
+/// workload of the cross-session equivalence and monitoring tests.
 pub fn session_fleet(
     db: &Instance,
     n_sessions: usize,
@@ -496,54 +452,6 @@ pub fn session_fleet(
     (0..n_sessions)
         .map(|i| customer_session(db, n_steps, n_products, honesty, seed + i as u64))
         .collect()
-}
-
-/// A one-stratum datalog program with `n_rules` independent rules — the
-/// wide-stratum workload of the `parallel_strata` benchmarks and the
-/// rule-level parallelism tests.
-///
-/// Rule `i` is
-///
-/// ```text
-/// wide-out{i}(X,Z) :- tag(X, t{i}), edge(X,Y), edge(Y,Z).
-/// ```
-///
-/// All rules share the `edge` relation but partition their outer candidates
-/// by tag, so the stratum holds `n_rules` genuinely independent, similarly
-/// sized two-hop joins: exactly the shape a stratum-level scheduler can fan
-/// out rule-per-worker (and chunk within a rule).  The `tag` probe binds a
-/// **non-prefix** column (the constant sits in column 1), so the workload
-/// also exercises the hash-index path rather than only sorted-prefix scans.
-pub fn wide_stratum_program(n_rules: usize) -> rtx_datalog::Program {
-    let text: String = (0..n_rules.max(1))
-        .map(|i| format!("wide-out{i}(X,Z) :- tag(X, t{i}), edge(X,Y), edge(Y,Z).\n"))
-        .collect();
-    rtx_datalog::parse_program(&text).expect("the wide-stratum rule family parses")
-}
-
-/// The extensional database for [`wide_stratum_program`]: a random graph of
-/// `n_nodes` nodes with `degree` out-edges each (relation `edge`), every
-/// node tagged `t{node % n_rules}` (relation `tag`) so rule `i`'s outer
-/// candidates are the `i`-th residue class — `n_rules` near-equal partitions
-/// of the node set.  Deterministic in `seed`.
-pub fn wide_stratum_edb(n_nodes: usize, degree: usize, n_rules: usize, seed: u64) -> Instance {
-    let schema =
-        rtx_relational::Schema::from_pairs([("edge", 2), ("tag", 2)]).expect("distinct relations");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Instance::empty(&schema);
-    for i in 0..n_nodes {
-        db.insert(
-            "tag",
-            Tuple::from_iter([format!("n{i}"), format!("t{}", i % n_rules.max(1))]),
-        )
-        .expect("tag/2");
-        for _ in 0..degree {
-            let j = rng.gen_range(0..n_nodes.max(1));
-            db.insert("edge", Tuple::from_iter([format!("n{i}"), format!("n{j}")]))
-                .expect("edge/2");
-        }
-    }
-    db
 }
 
 /// The log of a run of `transducer` on the given database and inputs.
@@ -573,56 +481,6 @@ pub fn tamper_log(log: &InstanceSequence, product: &str) -> InstanceSequence {
             .expect("deliver/1");
     }
     InstanceSequence::new(schema, instances).expect("schema preserved")
-}
-
-/// A synthetic Spocus business model with `n_outputs` output relations, each
-/// defined by one rule whose body joins `body_width` database relations —
-/// used to scale the schema size / rule width of the verification benchmarks.
-pub fn scaled_model(n_outputs: usize, body_width: usize) -> SpocusTransducer {
-    let mut builder = SpocusBuilder::new(format!("scaled-{n_outputs}x{body_width}"))
-        .input("req", 1)
-        .input("ack", 2);
-    for j in 0..body_width {
-        builder = builder.database(format!("d{j}"), 2);
-    }
-    let mut log = vec!["req".to_string(), "ack".to_string()];
-    for i in 0..n_outputs {
-        let name = format!("out{i}");
-        builder = builder.output(name.clone(), 1);
-        log.push(name.clone());
-        let mut body = vec!["req(X)".to_string()];
-        for j in 0..body_width {
-            body.push(format!("d{j}(X, Y{j})"));
-        }
-        body.push("NOT past-ack(X, X)".to_string());
-        builder = builder.output_rule(&format!("{name}(X) :- {}", body.join(", ")));
-    }
-    builder
-        .log(log)
-        .build()
-        .expect("the scaled model family is Spocus by construction")
-}
-
-/// A database for [`scaled_model`]: each `dj` relation maps `ri → vj_i` for
-/// `i` in `0..n_rows`.
-pub fn scaled_database(body_width: usize, n_rows: usize) -> Instance {
-    let schema =
-        rtx_relational::Schema::from_pairs((0..body_width).map(|j| (format!("d{j}"), 2usize)))
-            .expect("distinct relations");
-    let mut db = Instance::empty(&schema);
-    for j in 0..body_width {
-        for i in 0..n_rows {
-            db.insert(
-                format!("d{j}"),
-                Tuple::new(vec![
-                    Value::str(format!("r{i}")),
-                    Value::str(format!("v{j}_{i}")),
-                ]),
-            )
-            .expect("dj/2");
-        }
-    }
-    db
 }
 
 #[cfg(test)]
@@ -802,16 +660,34 @@ mod tests {
 
     #[test]
     fn wide_stratum_workload_is_one_parallel_stratum() {
-        use rtx_datalog::{CompiledProgram, EvalBudget, Parallelism};
-        let program = wide_stratum_program(6);
-        let compiled = CompiledProgram::compile(&program).unwrap();
-        assert_eq!(compiled.rules().len(), 6);
+        use rtx_datalog::{parse_program, CompiledProgram, EvalBudget, Parallelism};
+        // Six independent two-hop joins over one shared `edge` relation,
+        // each over its own tag class: one stratum a scheduler can fan out
+        // rule-per-worker.  The `tag` probe binds a non-prefix column.
+        let rules = 6;
+        let text: String = (0..rules)
+            .map(|i| format!("wide-out{i}(X,Z) :- tag(X, t{i}), edge(X,Y), edge(Y,Z).\n"))
+            .collect();
+        let compiled = CompiledProgram::compile(&parse_program(&text).unwrap()).unwrap();
+        assert_eq!(compiled.rules().len(), rules);
         assert!(!compiled.is_recursive());
-        let db = wide_stratum_edb(120, 3, 6, 9);
-        assert_eq!(db.relation("tag").unwrap().len(), 120);
-        // Deterministic in the seed; parallel evaluation is bit-identical to
-        // sequential, stats included.
-        assert_eq!(db, wide_stratum_edb(120, 3, 6, 9));
+        let schema = rtx_relational::Schema::from_pairs([("edge", 2), ("tag", 2)]).unwrap();
+        let mut db = Instance::empty(&schema);
+        let mut rng = StdRng::seed_from_u64(9);
+        for i in 0..120 {
+            db.insert(
+                "tag",
+                Tuple::from_iter([format!("n{i}"), format!("t{}", i % rules)]),
+            )
+            .unwrap();
+            for _ in 0..3 {
+                let j = rng.gen_range(0..120);
+                db.insert("edge", Tuple::from_iter([format!("n{i}"), format!("n{j}")]))
+                    .unwrap();
+            }
+        }
+        // Parallel evaluation is bit-identical to sequential, stats
+        // included.
         let (seq, seq_stats) = compiled
             .evaluate(
                 &[&db],
@@ -831,22 +707,5 @@ mod tests {
         assert_eq!(seq, par);
         assert_eq!(seq_stats, par_stats);
         assert!(!seq.relation("wide-out0").unwrap().is_empty());
-    }
-
-    #[test]
-    fn scaled_models_run() {
-        let t = scaled_model(3, 2);
-        assert_eq!(t.schema().output().len(), 3);
-        let db = scaled_database(2, 4);
-        let schema = t.schema().input().clone();
-        let mut step = Instance::empty(&schema);
-        step.insert("req", Tuple::from_iter(["r0"])).unwrap();
-        let inputs = InstanceSequence::new(schema, vec![step]).unwrap();
-        let run = t.run(&db, &inputs).unwrap();
-        assert!(run
-            .outputs()
-            .get(0)
-            .unwrap()
-            .holds("out0", &Tuple::from_iter(["r0"])));
     }
 }

@@ -1,7 +1,8 @@
 //! Monitored commerce scenarios: small Spocus business models packaged with
 //! the `T_sdi` input-control constraints a [`rtx_verify::SessionMonitor`]
 //! enforces over them, plus seeded input sequences — one clean, one that
-//! violates a constraint — for the guardrail tests and benchmarks.
+//! violates a constraint — for the guardrail tests, and servable by name
+//! from the `rtx-front` wire server.
 //!
 //! Four scenarios, each a paper-flavoured electronic-commerce workflow:
 //!

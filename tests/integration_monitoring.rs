@@ -179,6 +179,65 @@ fn monitor_log_checking_joins_only_the_delta() {
     assert!(monitor.audit(run.db()).unwrap().is_valid());
 }
 
+/// A logged output derived by a cached rule (no input atom) is extended by
+/// the monitor's shadow from its state mirror's delta alone.  Steps that add
+/// to an already non-empty `past-touch` must put exactly the new tuples in
+/// that delta: honest steps then raise no violation, and a delta that drops
+/// them would flag the next step's `seen` as underivable.
+#[test]
+fn monitor_extends_cached_outputs_by_its_state_delta() {
+    let transducer = Arc::new(
+        SpocusBuilder::new("loyalty")
+            .input("touch", 1)
+            .database("base", 1)
+            .output("seen", 1)
+            .output_rule("seen(X) :- past-touch(X), base(X)")
+            .log(["touch", "seen"])
+            .build()
+            .unwrap(),
+    );
+    let mut db = Instance::empty(&Schema::from_pairs([("base", 1)]).unwrap());
+    for name in ["a", "b", "c", "d", "e"] {
+        db.insert("base", Tuple::from_iter([name])).unwrap();
+    }
+
+    let input_schema = transducer.schema().input().clone();
+    let step_of = |names: &[&str]| {
+        let mut inst = Instance::empty(&input_schema);
+        for n in names {
+            inst.insert("touch", Tuple::from_iter([*n])).unwrap();
+        }
+        inst
+    };
+    // `past-touch` grows at every step after the first, once by a tuple it
+    // already holds beside a new one.
+    let steps = vec![
+        step_of(&["a"]),
+        step_of(&["b"]),
+        step_of(&["a", "c"]),
+        step_of(&["d"]),
+        step_of(&[]),
+    ];
+    let inputs = InstanceSequence::new(input_schema, steps).unwrap();
+    let run = transducer.run(&db, &inputs).unwrap();
+    let seen: Vec<usize> = run
+        .steps()
+        .map(|step| step.output.relation("seen").unwrap().len())
+        .collect();
+    assert_eq!(seen, [0, 1, 2, 3, 4]);
+
+    let resident = Arc::new(ResidentDb::new(db));
+    let mut monitor = SessionMonitor::new(Arc::clone(&transducer), resident).unwrap();
+    for (i, step) in run.steps().enumerate() {
+        let violations = monitor.observe(i, step.input, step.output).unwrap();
+        assert!(
+            violations.is_empty(),
+            "honest step {i} flagged: {violations:?}"
+        );
+    }
+    assert!(monitor.audit(run.db()).unwrap().is_valid());
+}
+
 /// Under `MonitorPolicy::Enforce`, an input driving the run into an error
 /// state is refused with a typed rejection naming the violated constraint,
 /// before the session advances.
